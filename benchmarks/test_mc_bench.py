@@ -119,6 +119,8 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
         "ratio_serial_over_legacy": round(ratio_serial_legacy, 4),
         "rounds": sharded.rounds,
         "replays_sharded": sharded.replays,
+        "replays_serial": serial.replays,
+        "rebuilds_serial": serial.rebuilds,
     }
     history = []
     if BENCH_JSON.exists():

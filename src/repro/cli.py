@@ -577,6 +577,9 @@ def _cmd_check(args) -> int:
           f"({'/'.join(args.mcms)}): {mark}")
     print(f"  states    : {result.states} ({result.terminals} terminal, "
           f"depth {result.max_depth}, {result.replays} replays)")
+    print(f"  rebuilds  : {result.rebuilds} of {result.replays} replays "
+          f"rebuilt from the root, {result.replays - result.rebuilds} "
+          "extended the live state")
     print(f"  search    : {result.shards} shard(s), {result.rounds} "
           f"round(s), backend {result.backend}, {result.elapsed:.2f}s")
     print(f"  outcomes  : {len(result.outcomes)} observed / "

@@ -10,15 +10,22 @@ hashing.  At every reached state the runtime invariants run; terminal
 states must have all programs complete (deadlock-freedom) and their
 outcomes are collected for comparison against the axiomatic model.
 
-Because controller continuations are closures, states are reproduced by
-*replaying* the delivery-choice path from a fresh system rather than by
-snapshotting -- stateless model checking with a visited-fingerprint set
-to prune the search.
+Because controller continuations are closures, a state cannot be
+snapshotted cheaply: a ``copy.deepcopy`` fork of a mid-depth state costs
+several times a full replay.  So states are reproduced by *replaying*
+the delivery-choice path from a fresh system -- stateless model checking
+with a visited-fingerprint set to prune the search.  This DFS rebuilds
+every state it visits; the sharded engine (:mod:`repro.verify.mc`)
+rebuilds only when the popped path does not extend the live state it
+already holds, and otherwise delivers the remaining choices on that
+live state.
+
+Programs are shared, not copied, across rebuilds: a core only reads its
+thread's ``Op`` list, so every fresh system runs the same objects.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.errors import ConsistencyViolation
@@ -102,7 +109,10 @@ class Explorer:
         self.check_invariants = check_invariants
 
     # ------------------------------------------------------------------
-    def _fresh_system(self):
+    def _fresh_system(self, setup=None):
+        """Build the system with an intercepting network and start every
+        program; ``setup(system, network)`` runs before any program
+        starts, so it sees every message the system sends."""
         local_a, global_protocol, local_b = self.combo
         threads = len(self.programs)
         cores = max(1, (threads + 1) // 2)
@@ -123,6 +133,8 @@ class Explorer:
         for node in old.nodes.values():
             node.network = network
         system.network = network
+        if setup is not None:
+            setup(system, network)
 
         placement = self.placement or [
             (tid % 2) * cores + tid // 2 for tid in range(threads)
@@ -133,17 +145,15 @@ class Explorer:
             self._done["count"] -= 1
 
         for program, core_index in zip(self.programs, placement):
-            # Fresh program copies: ops are mutable dataclasses.
-            system.cores[core_index].run_program(copy.deepcopy(program), on_done)
+            system.cores[core_index].run_program(program, on_done)
         system.engine.run()
         return system, network
 
-    def _replay(self, path):
-        system, network = self._fresh_system()
-        for choice in path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, network
+    def _replay(self, path, setup=None):
+        # Subclasses may override ``_fresh_system()`` without ``setup``.
+        system, network = (self._fresh_system() if setup is None
+                           else self._fresh_system(setup))
+        return deliver_path(system, network, path)
 
     # ------------------------------------------------------------------
     def explore(self) -> ExplorationResult:
@@ -203,15 +213,32 @@ class Explorer:
         tracer's :meth:`~repro.sim.trace.MessageTracer.timeline` shows
         exactly the message sequence that led to the state.
         """
-        from repro.sim.trace import MessageTracer
+        return replay_traced(self._replay, path)
 
-        system, network = self._fresh_system()
-        tracer = MessageTracer(network)
-        # MessageTracer wraps network.send; replay the chosen deliveries.
-        for choice in path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, tracer
+
+def deliver_path(system, network, path):
+    """Deliver ``path``'s outbox choices in order, running the engine to
+    quiescence after each; returns ``(system, network)``."""
+    for choice in path:
+        network.deliver(choice)
+        system.engine.run()
+    return system, network
+
+
+def replay_traced(replay, path):
+    """Run ``replay(path, setup)`` with a message tracer attached.
+
+    The tracer is installed by ``setup``, before any program starts, so
+    it records every message the replay sends, the root's included.
+    Returns ``(system, tracer)``.
+    """
+    from repro.sim.trace import MessageTracer
+
+    tracers = []
+    system, _network = replay(
+        path, setup=lambda _system, network: tracers.append(
+            MessageTracer(network)))
+    return system, tracers[0]
 
 
 def _final_value(system, addr):

@@ -8,7 +8,8 @@
   ``PYTHONHASHSEED`` on any host).
 - :mod:`~repro.verify.mc.model` -- :class:`CheckModel`, the picklable
   description from which any worker reconstructs states by replaying
-  delivery paths (stateless model checking).
+  delivery paths (stateless model checking), or by extending the state
+  it holds live when the next path continues it.
 - :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the
   partition-by-hash frontier engine over the
   :mod:`repro.harness.dist` backends; shard *k* of *n* owns the states

@@ -86,16 +86,15 @@ class Counterexample:
         return self.probe() == self.signature
 
     def replay_with_trace(self):
-        """Replay with a message tracer attached; ``(system, tracer)``."""
-        from repro.sim.trace import MessageTracer
+        """Replay with a message tracer attached; ``(system, tracer)``.
 
-        engine = self.model._engine()
-        system, network = engine._fresh_system()
-        tracer = MessageTracer(network)
-        for choice in self.path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, tracer
+        Goes through :meth:`CheckModel.replay`, so model options such
+        as ``violate_atomicity`` apply, and the tracer records every
+        message from before the programs start.
+        """
+        from repro.verify.explorer import replay_traced
+
+        return replay_traced(self.model.replay, self.path)
 
     # -- shrinking -----------------------------------------------------
     def shrink(self, max_probes: int = 400) -> "Counterexample":

@@ -10,6 +10,13 @@ A successor owned elsewhere is *punted*: the ``(path, fingerprint)``
 pair is handed to the owner, which can reject already-visited states
 without replaying them.
 
+Within one shard the depth-first drain keeps the state it materialised
+last *live*.  A popped path that extends the live state's path -- the
+first child of the state just expanded, typically -- is reached by
+delivering the remaining choices on that live state instead of
+rebuilding the system and replaying from the root.  ``replays`` counts
+materialised states, ``rebuilds`` the ones that started from scratch.
+
 The search proceeds in waves over the stateless
 :mod:`repro.harness.dist` backends (serial / pool / queue / ssh): each
 wave fans one :class:`~repro.harness.sweep.SweepCell` per shard-with-work
@@ -76,8 +83,9 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     ``outcomes`` (``[(outcome, path)]`` with the minimal path per
     outcome), ``violations`` (``[(path, kind, message, fp, flight)]``
     where ``flight`` is the shard's flight-recorder dump for crashes
-    and ``()`` otherwise), ``max_depth``, ``replays`` and
-    ``truncated``.
+    and ``()`` otherwise), ``max_depth``, ``replays`` (states
+    materialised), ``rebuilds`` (of those, built from the root rather
+    than extended from the live state) and ``truncated``.
     """
     seen = set(visited)
     # Reversed so list.pop() explores the first work item's subtree first.
@@ -86,8 +94,10 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     emit: dict[int, list] = {}
     outcomes: dict[tuple, tuple] = {}
     violations: list[tuple] = []
-    states = terminals = replays = deepest = 0
+    states = terminals = replays = rebuilds = deepest = 0
     truncated = False
+    # The last materialised (path, system, network), or None.
+    live: tuple | None = None
     # Last-N replay events; a crashing interleaving ships what the
     # search was doing just before it, for the postmortem.
     flight = FlightRecorder(64)
@@ -96,8 +106,18 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         if fp is not None and fp in seen:
             continue
         flight.record("replay", depth=len(path), states=states)
+        # Extend the live state when this path continues it; either
+        # way the live state is consumed, and re-set only on success.
+        base, live = live, None
+        if base is not None and path[:len(base[0])] != base[0]:
+            base = None
+        if base is None:
+            rebuilds += 1
         try:
-            system, network = model.replay(path)
+            # A rebuild is a plain ``replay(path)`` call, so a model
+            # that never reaches a state (a test double) needs no base.
+            system, network = (model.replay(path) if base is None
+                               else model.replay(path, base))
         except ConsistencyViolation as exc:
             # A runtime monitor fired mid-delivery: no end state exists
             # to fingerprint, so the exception identity stands in.
@@ -116,6 +136,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
                  crash_fingerprint(exc), tuple(flight.dump())))
             continue
         replays += 1
+        live = (path, system, network)
         if fp is None:
             fp = canonical_fingerprint(system, network)
         owner = fp % n_shards
@@ -166,6 +187,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         "violations": violations,
         "max_depth": deepest,
         "replays": replays,
+        "rebuilds": rebuilds,
         "truncated": truncated,
     }
 
@@ -185,7 +207,10 @@ class CheckResult:
     max_depth: int = 0
     truncated: bool = False
     rounds: int = 0
+    #: States materialised, by rebuild or by extending the live state.
     replays: int = 0
+    #: Materialisations that rebuilt the system from the root.
+    rebuilds: int = 0
     elapsed: float = 0.0
     counterexamples: list = field(default_factory=list)
 
@@ -203,6 +228,7 @@ class CheckResult:
         return (f"{'-'.join(self.model.combo)}: {mark} "
                 f"({self.states} states, {self.terminals} terminals, "
                 f"{len(self.outcomes)} outcomes, depth {self.max_depth}, "
+                f"{self.replays} replays, {self.rebuilds} rebuilds, "
                 f"{self.rounds} rounds, {self.shards} shard(s), "
                 f"{self.elapsed:.2f}s)")
 
@@ -221,6 +247,7 @@ class CheckResult:
             "truncated": self.truncated,
             "rounds": self.rounds,
             "replays": self.replays,
+            "rebuilds": self.rebuilds,
             "elapsed": self.elapsed,
             "counterexamples": [ce.to_dict() for ce in self.counterexamples],
         }
@@ -288,6 +315,7 @@ class ModelChecker:
                 result.terminals += out["terminals"]
                 result.max_depth = max(result.max_depth, out["max_depth"])
                 result.replays += out["replays"]
+                result.rebuilds += out["rebuilds"]
                 result.truncated = result.truncated or out["truncated"]
                 raw_violations.extend(out["violations"])
                 for outcome, path in out["outcomes"]:
@@ -312,6 +340,7 @@ class ModelChecker:
         result.elapsed = time.monotonic() - started
         self._count("states", result.states)
         self._count("replays", result.replays)
+        self._count("rebuilds", result.rebuilds)
         self._count("terminals", result.terminals)
         result.counterexamples = self._build_counterexamples(raw_violations)
         self._count("violations", len(result.counterexamples))

@@ -17,6 +17,13 @@ BLAKE2b over a deterministic byte encoding.  Guarantees:
   emits (ints, strings, bools, None, floats, nested tuples), so two
   different part trees cannot collide by construction -- only by the
   64-bit birthday bound, negligible at reachable state counts.
+
+:func:`canonical_bytes` walks the exact types the state walk emits
+(tuples, lists, ints, strs, bools, None) on a fast path that reuses the
+encoded bytes of recent ``str``/``int`` leaves, and hands every other
+value to :func:`_encode`, the reference encoder.  Its output is
+byte-identical to :func:`_encode`'s, so fingerprints and the
+``fp % shards`` routing do not depend on which path encoded a state.
 """
 
 from __future__ import annotations
@@ -80,10 +87,63 @@ def _encode(value, out: list) -> None:
             f"{type(value).__name__}: {value!r}")
 
 
+#: Entries each leaf cache may hold; past it, new leaves are encoded
+#: but not remembered.
+LEAF_CACHE_LIMIT = 1 << 14
+
+_STR_LEAVES: dict[str, bytes] = {}
+_INT_LEAVES: dict[int, bytes] = {}
+
+
+def _str_leaf(value: str) -> bytes:
+    data = value.encode("utf-8")
+    encoded = b"s%d:%s" % (len(data), data)
+    if len(_STR_LEAVES) < LEAF_CACHE_LIMIT:
+        _STR_LEAVES[value] = encoded
+    return encoded
+
+
+def _int_leaf(value: int) -> bytes:
+    text = str(value).encode("ascii")
+    encoded = b"i%d:%s" % (len(text), text)
+    if len(_INT_LEAVES) < LEAF_CACHE_LIMIT:
+        _INT_LEAVES[value] = encoded
+    return encoded
+
+
+def _encode_fast(value, out: list) -> None:
+    """:func:`_encode`, dispatching on exact type.
+
+    Subclasses of ``int``/``str``/``tuple`` and every other type go to
+    :func:`_encode`: only an exact type is guaranteed to encode the way
+    the cached leaf bytes say (``True`` is an ``int`` equal to ``1``).
+    """
+    kind = type(value)
+    if kind is not tuple and kind is not list:
+        _encode(value, out)
+        return
+    out.append(b"(")
+    for item in value:
+        kind = type(item)
+        if kind is int:
+            out.append(_INT_LEAVES.get(item) or _int_leaf(item))
+        elif kind is str:
+            out.append(_STR_LEAVES.get(item) or _str_leaf(item))
+        elif kind is tuple or kind is list:
+            _encode_fast(item, out)
+        elif item is None:
+            out.append(b"N")
+        elif kind is bool:
+            out.append(b"T" if item else b"F")
+        else:
+            _encode(item, out)
+    out.append(b")")
+
+
 def canonical_bytes(parts) -> bytes:
     """Deterministic, injective byte encoding of a part tree."""
     out: list = []
-    _encode(parts, out)
+    _encode_fast(parts, out)
     return b"".join(out)
 
 

@@ -6,7 +6,9 @@ programs, the MCMs, placement and the observed addresses.  States are
 closures inside controller objects and cannot cross a process
 boundary; the *model* can, so sharded exploration ships models plus
 delivery paths and every worker reconstructs states by replay --
-stateless model checking, distributed.
+stateless model checking, distributed.  Within one worker the search
+keeps the state it last materialised live and extends it in place when
+the next path continues it (:meth:`CheckModel.replay`'s ``base``).
 
 ``violate_atomicity`` switches off the bridge's Rule-II enforcement --
 the paper's Fig. 4 failure injection -- so tests can demand that the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.verify.explorer import Explorer
+from repro.verify.explorer import Explorer, deliver_path
 
 
 @dataclass
@@ -51,25 +53,37 @@ class CheckModel:
             )
         return self._explorer
 
-    def replay(self, path):
-        """Rebuild the state at the end of ``path`` from scratch.
+    def replay(self, path, base=None, setup=None):
+        """Materialise the state at the end of ``path``.
+
+        Without ``base`` the system is rebuilt from scratch and the
+        whole path is delivered.  ``base`` is a live ``(base_path,
+        system, network)`` state whose ``base_path`` is a prefix of
+        ``path``: only the remaining choices are delivered, on that
+        live state, which is consumed.  Delivery is deterministic, so
+        both give the same state.  ``setup(system, network)`` runs on a
+        rebuilt system before any program starts.
 
         Returns ``(system, network)``; the intercepted network's outbox
         holds the deliverable messages of the state.
         """
-        engine = self._engine()
-        system, network = engine._fresh_system()
-        if self.violate_atomicity:
-            for cluster in system.clusters:
-                cluster.bridge.violate_atomicity = True
-            system.engine.run()
-        for choice in path:
-            network.deliver(choice)
-            system.engine.run()
-        return system, network
+        if base is not None:
+            base_path, system, network = base
+            return deliver_path(system, network, path[len(base_path):])
+
+        def prepare(system, network):
+            if self.violate_atomicity:
+                for cluster in system.clusters:
+                    cluster.bridge.violate_atomicity = True
+            if setup is not None:
+                setup(system, network)
+
+        system, network = self._engine()._fresh_system(prepare)
+        return deliver_path(system, network, path)
 
     def stuck_threads(self) -> int:
-        """Threads not yet complete in the most recent replay."""
+        """Threads not yet complete in the most recently rebuilt system,
+        as it stands now (extending it in place advances it)."""
         return self._engine()._done["count"]
 
     def outcome(self, system) -> tuple:

@@ -7,12 +7,17 @@ shrunk, replayable counterexamples), and the shipped pairings verify
 exhaustively.
 """
 
+import copy
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cpu.isa import ThreadProgram, load, store
 from repro.verify.explorer import Explorer, ExplorationResult
@@ -26,7 +31,13 @@ from repro.verify.mc import (
     dedup,
     litmus_model,
 )
-from repro.verify.mc.fingerprint import canonical_bytes, fingerprint_parts
+from repro.errors import ConsistencyViolation
+from repro.verify import invariants
+from repro.verify.mc.fingerprint import (
+    canonical_bytes,
+    canonical_fingerprint,
+    fingerprint_parts,
+)
 
 X, Y = 0x10, 0x11
 COMBO = ("MESI", "CXL", "MESI")
@@ -67,6 +78,130 @@ def test_canonical_encoding_sorts_unordered_containers():
 def test_fingerprint_rejects_non_primitive_parts():
     with pytest.raises(TypeError):
         fingerprint_parts((object(),))
+
+
+def _reference_encode(value, out: list) -> None:
+    """The original recursive encoder, kept as the byte-level oracle
+    for :func:`canonical_bytes`'s fast path."""
+    if value is None:
+        out.append(b"N")
+    elif value is True:
+        out.append(b"T")
+    elif value is False:
+        out.append(b"F")
+    elif isinstance(value, int):
+        text = str(value).encode("ascii")
+        out.append(b"i%d:" % len(text))
+        out.append(text)
+    elif isinstance(value, float):
+        text = value.hex().encode("ascii")
+        out.append(b"f%d:" % len(text))
+        out.append(text)
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        out.append(b"s%d:" % len(data))
+        out.append(data)
+    elif isinstance(value, bytes):
+        out.append(b"b%d:" % len(value))
+        out.append(value)
+    elif isinstance(value, (tuple, list)):
+        out.append(b"(")
+        for item in value:
+            _reference_encode(item, out)
+        out.append(b")")
+    elif isinstance(value, (set, frozenset)):
+        out.append(b"{")
+        for item in sorted(value, key=repr):
+            _reference_encode(item, out)
+        out.append(b"}")
+    elif isinstance(value, dict):
+        out.append(b"[")
+        for key in sorted(value, key=repr):
+            _reference_encode(key, out)
+            _reference_encode(value[key], out)
+        out.append(b"]")
+    else:
+        raise TypeError(f"unencodable {type(value).__name__}")
+
+
+def _reference_bytes(parts) -> bytes:
+    out: list = []
+    _reference_encode(parts, out)
+    return b"".join(out)
+
+
+class _Int(int):
+    """An int subclass whose text differs from the int's."""
+
+    def __str__(self) -> str:
+        return f"+{int(self)}"
+
+
+class _Str(str):
+    """A str subclass; encodes as its value."""
+
+
+class _Kind(IntEnum):
+    SMALL = 1
+    LARGE = 70000
+
+
+_hashable_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=False), st.binary(max_size=6),
+    st.integers().map(_Int), st.text(max_size=6).map(_Str),
+    st.sampled_from(list(_Kind)),
+)
+_part_trees = st.recursive(
+    _hashable_leaves,
+    lambda children: st.one_of(
+        st.tuples(children, children),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_hashable_leaves, children, max_size=3),
+        st.frozensets(_hashable_leaves, max_size=3),
+        st.sets(_hashable_leaves, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_part_trees)
+def test_canonical_bytes_match_the_reference_encoder(parts):
+    """The fast path is byte-identical to the recursive encoder, also
+    for values it hands on (bool vs int, int/str subclasses, floats,
+    bytes, dicts, sets) -- encoding each tree twice, so the second pass
+    reads the leaf caches."""
+    expected = _reference_bytes(parts)
+    assert canonical_bytes(parts) == expected
+    assert canonical_bytes(parts) == expected
+    assert canonical_bytes((parts,)) == _reference_bytes((parts,))
+
+
+def test_leaf_caches_keep_equal_values_of_different_types_apart():
+    """``1``, ``True``, ``1.0``, ``_Int(1)`` and ``_Kind.SMALL`` are
+    equal as dict keys but encode differently."""
+    values = (1, True, 1.0, _Int(1), _Kind.SMALL, "1", _Str("1"))
+    for order in (values, values[::-1]):
+        for value in order:
+            assert canonical_bytes((value,)) == _reference_bytes((value,))
+            assert canonical_bytes(value) == _reference_bytes(value)
+
+
+def test_canonical_bytes_match_the_reference_on_litmus_states():
+    model = litmus_model("SB", COMBO)
+    from repro.verify.explorer import state_parts
+
+    path = ()
+    for _ in range(12):
+        system, network = model.replay(path)
+        parts = state_parts(system, network)
+        assert canonical_bytes(parts) == _reference_bytes(parts)
+        choices = network.deliverable()
+        if not choices:
+            break
+        path += (choices[-1],)
 
 
 def test_fingerprints_stable_across_hash_seeds():
@@ -282,6 +417,7 @@ def test_cli_check_verified_exit_zero(capsys):
     assert code == 0
     assert "verified" in out
     assert "states" in out
+    assert "extended the live state" in out
 
 
 def test_cli_check_truncated_exit_one(capsys):
@@ -357,3 +493,162 @@ def test_cli_check_writes_counterexample_fixtures(tmp_path, capsys,
     assert written
     ce = Counterexample.from_json(written[0].read_text())
     assert ce.reproduces()
+
+
+# ---------------------------------------------------------------------------
+# Live-state extension: a state reached by delivering on the live state
+# equals the same path replayed from the root.
+# ---------------------------------------------------------------------------
+
+#: ``(states, terminals, replays, digest)`` of exhaustive checks on the
+#: serial backend, as the search produced them when it rebuilt every
+#: state from the root.  The digest covers the outcomes, the outcome
+#: witness paths and every counterexample's kind, fingerprint and path
+#: (see :func:`_result_digest`).  The violate_atomicity MP check is
+#: capped at 3,000 states, the others run to exhaustion.
+PINNED_CHECKS = {
+    ("SB", "MESI-CXL-MESI", False, 1): (1659, 3, 4303, "ee73cd5cd92217a0"),
+    ("SB", "MESI-CXL-MESI", False, 4): (1659, 3, 5280, "ca2662716a35b32d"),
+    ("MP", "MESI-CXL-MESI", False, 1): (823, 3, 1900, "648ae637e91536f1"),
+    ("MP", "MESI-CXL-MESI", False, 4): (823, 3, 2418, "1bbe10220eb417f8"),
+    ("CoRR1", "MESI-CXL-MESI", False, 1): (99, 3, 144, "8f48ced6fd6915a8"),
+    ("CoRR1", "MESI-CXL-MESI", False, 4): (99, 3, 213, "be1a614fe73829da"),
+    ("SB", "MOESI-MESI-MOESI", False, 1): (994, 3, 2607, "426c61cd45e59e3e"),
+    ("SB", "MOESI-MESI-MOESI", False, 4): (994, 3, 3223, "525638cb06b27003"),
+    ("MP", "MOESI-MESI-MOESI", False, 1): (560, 3, 1310, "eaf1504ec76fb00a"),
+    ("MP", "MOESI-MESI-MOESI", False, 4): (560, 3, 1661, "114e66e8e34f96df"),
+    ("CoRR1", "MOESI-MESI-MOESI", False, 1): (70, 3, 102, "9cf1e313af38d9f6"),
+    ("CoRR1", "MOESI-MESI-MOESI", False, 4): (70, 3, 151, "a5d2aa8a9867ade3"),
+    ("MP", "MESI-CXL-MESI", True, 1): (1255, 0, 3169, "20527200a1a184a4"),
+    ("MP", "MESI-CXL-MESI", True, 4): (1255, 0, 3955, "0082c0506507cadc"),
+}
+
+
+def _result_digest(result) -> str:
+    summary = {
+        "states": result.states, "terminals": result.terminals,
+        "replays": result.replays,
+        "outcomes": sorted([list(pair) for pair in outcome]
+                           for outcome in result.outcomes),
+        "outcome_examples": [
+            [[list(pair) for pair in outcome], list(path)]
+            for outcome, path in result.outcome_examples.items()],
+        "counterexamples": [[ce.kind, ce.fingerprint, list(ce.path)]
+                            for ce in result.counterexamples],
+    }
+    text = json.dumps(summary, sort_keys=True).encode()
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+class _ExtensionOracle(CheckModel):
+    """Checks every extended state against a from-scratch replay on a
+    twin model (its own explorer, so the live state's thread counter
+    is left alone)."""
+
+    twin: CheckModel
+    extended = 0
+    mismatches: list
+
+    def replay(self, path, base=None, setup=None):
+        if base is None:
+            return super().replay(path, base, setup)
+        self.extended += 1
+        signature, live = _materialise(
+            lambda: super(_ExtensionOracle, self).replay(path, base, setup))
+        if signature != _materialise(lambda: self.twin.replay(path))[0]:
+            self.mismatches.append(path)
+        if isinstance(live, Exception):
+            raise live
+        return live
+
+
+def _materialise(replay):
+    """``(signature, result)`` of one replay: the fingerprint of the
+    state it reached, or the exception it raised."""
+    try:
+        system, network = replay()
+    except Exception as exc:
+        return (type(exc).__name__, str(exc)), exc
+    return canonical_fingerprint(system, network), (system, network)
+
+
+def _oracle_model(name, combo, broken):
+    plain = litmus_model(name, tuple(combo.split("-")))
+    fields = {f.name: getattr(plain, f.name)
+              for f in dataclasses.fields(CheckModel) if f.init}
+    fields.update(violate_atomicity=broken, _explorer=None)
+    model = _ExtensionOracle(**fields)
+    model.twin = CheckModel(**fields)
+    model.mismatches = []
+    return model
+
+
+@pytest.mark.parametrize(
+    "key", list(PINNED_CHECKS),
+    ids=lambda k: f"{k[0]}-{k[1]}-{'broken' if k[2] else 'ok'}-{k[3]}")
+def test_extended_states_equal_rebuilt_states(key):
+    """Every state the search reaches by extending the live state has
+    the fingerprint of the same path replayed from the root, and the
+    search reports what rebuilding every state reported."""
+    name, combo, broken, shards = key
+    model = _oracle_model(name, combo, broken)
+    programs = copy.deepcopy(model.programs)
+    result = check_model(model, shards=shards, backend="serial",
+                         max_states=3_000 if broken else 0)
+    assert model.mismatches == []
+    assert model.extended == result.replays - result.rebuilds
+    if shards == 1:
+        assert result.rebuilds < result.replays
+    states, terminals, replays, digest = PINNED_CHECKS[key]
+    assert (result.states, result.terminals, result.replays) == (
+        states, terminals, replays)
+    assert _result_digest(result) == digest
+    # No rebuild or extension wrote to the shared programs.
+    assert [p.name for p in model.programs] == [p.name for p in programs]
+    for ran, before in zip(model.programs, programs):
+        assert ([dataclasses.astuple(op) for op in ran.ops]
+                == [dataclasses.astuple(op) for op in before.ops])
+
+
+def test_check_reports_rebuilds():
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    result = check_litmus("CoRR1", COMBO, max_states=0, metrics=registry)
+    assert 0 < result.rebuilds < result.replays
+    assert result.to_dict()["rebuilds"] == result.rebuilds
+    assert f"{result.rebuilds} rebuilds" in result.summary()
+    counters = registry.counter_values("mc.")
+    assert counters["mc.rebuilds"] == result.rebuilds
+    assert counters["mc.replays"] == result.replays
+
+
+# ---------------------------------------------------------------------------
+# Traced counterexample replay.
+# ---------------------------------------------------------------------------
+
+def test_traced_counterexample_replay_is_the_checked_replay(broken_mp):
+    """replay_with_trace() replays what the checker replayed: the
+    violate_atomicity model's state fails its invariants again, and the
+    tracer saw every message the replay sent, the root's included."""
+    invariant_ces = [ce for ce in broken_mp.counterexamples
+                     if ce.kind == "invariant"][:3]
+    assert len(invariant_ces) == 3
+    for ce in invariant_ces:
+        system, tracer = ce.replay_with_trace()
+        with pytest.raises(ConsistencyViolation):
+            invariants.check_all(system)
+        assert len(tracer.entries) == system.network.stats.messages
+        _checked, network = ce.model.replay(ce.path)
+        assert len(tracer.entries) == network.stats.messages
+
+
+def test_explorer_traced_replay_records_the_root_sends():
+    programs = [
+        ThreadProgram("w", [store(X, 1)]),
+        ThreadProgram("r", [load(X, "r0")]),
+    ]
+    explorer = Explorer(COMBO, programs, mcms=("SC", "SC"))
+    system, tracer = explorer.replay_with_trace(())
+    assert tracer.entries
+    assert len(tracer.entries) == system.network.stats.messages
