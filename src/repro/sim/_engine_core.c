@@ -288,57 +288,6 @@ core_post_at(EngineCore *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* post_many(items): bulk post_at.  `items` is a sequence of
- * (time, callback, args_tuple) triples; semantics are exactly N
- * sequential post_at calls -- same seq order among same-tick events,
- * same past-time error -- with one C call for the whole batch. */
-static PyObject *
-core_post_many(EngineCore *self, PyObject *items)
-{
-    PyObject *fast = PySequence_Fast(
-        items, "post_many expects a sequence of (time, callback, args) triples");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast);
-    PyObject **elems = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *item = elems[i];
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "post_many items must be (time, callback, args) triples");
-            goto fail;
-        }
-        long long time = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 0));
-        if (time == -1 && PyErr_Occurred())
-            goto fail;
-        if (time < self->now) {
-            PyErr_Format(PyExc_ValueError,
-                         "cannot schedule into the past (t=%lld < now=%lld)",
-                         time, self->now);
-            goto fail;
-        }
-        PyObject *argtup = PyTuple_GET_ITEM(item, 2);
-        if (!PyTuple_Check(argtup)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "post_many args member must be a tuple");
-            goto fail;
-        }
-        PyObject *a0, *a1;
-        Py_ssize_t n;
-        if (pack_args(&PyTuple_GET_ITEM(argtup, 0), PyTuple_GET_SIZE(argtup),
-                      &a0, &a1, &n) < 0)
-            goto fail;
-        if (core_push(self, time, PyTuple_GET_ITEM(item, 1),
-                      a0, a1, n, NULL) < 0)
-            goto fail;
-    }
-    Py_DECREF(fast);
-    Py_RETURN_NONE;
-fail:
-    Py_DECREF(fast);
-    return NULL;
-}
-
 /* schedule(delay, callback, *args) -> EventView.
  * Handle-bearing sibling of post(): one C call builds the heap entry
  * and the returned handle (the handle IS the cancellation guard), so
@@ -660,9 +609,6 @@ static PyMethodDef core_methods[] = {
     {"post_at", (PyCFunction)(void (*)(void))core_post_at, METH_FASTCALL,
      "post_at(time, callback, *args)\n--\n\n"
      "Schedule callback(*args) at absolute tick `time`; no handle."},
-    {"post_many", (PyCFunction)core_post_many, METH_O,
-     "post_many(items)\n--\n\n"
-     "Bulk post_at: a sequence of (time, callback, args) triples."},
     {"schedule", (PyCFunction)(void (*)(void))core_schedule, METH_FASTCALL,
      "schedule(delay, callback, *args) -> EventView\n--\n\n"
      "Schedule callback(*args) in `delay` ticks; returns a cancellable\n"

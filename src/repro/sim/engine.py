@@ -184,37 +184,6 @@ class BatchedEngine:
             buckets[time] = [bucket, (callback, args)]
         self._posted += 1
 
-    def post_many(self, items) -> None:
-        """Schedule a batch of ``(time, callback, args)`` records at once.
-
-        ``items`` is an iterable of triples with *absolute* tick times
-        and an args **tuple** (possibly empty).  Semantics are exactly N
-        sequential :meth:`post_at` calls -- same insertion order, same
-        FIFO position among same-tick events, same past-time error --
-        but the bucket/heap locals are bound once per batch instead of
-        once per event.  This is the network layer's bulk-delivery
-        primitive (see :meth:`repro.sim.network.Network.send_many`).
-        """
-        now = self.now
-        buckets = self._buckets
-        ticks = self._ticks
-        heappush = _heappush
-        n = 0
-        for time, callback, args in items:
-            if time < now:
-                raise ValueError(
-                    f"cannot schedule into the past (t={time} < now={now})")
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = (callback, args)
-                heappush(ticks, time)
-            elif bucket.__class__ is list:
-                bucket.append((callback, args))
-            else:
-                buckets[time] = [bucket, (callback, args)]
-            n += 1
-        self._posted += n
-
     def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` ticks from now.
 
@@ -552,20 +521,6 @@ class LegacyEngine:
     def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule at absolute tick ``time``, discarding the handle."""
         self.schedule(time - self.now, callback, *args)
-
-    def post_many(self, items) -> None:
-        """Batch spelling of :meth:`post_at`: N sequential schedules."""
-        now = self.now
-        queue = self._queue
-        heappush = _heappush
-        seq = self._seq
-        for time, callback, args in items:
-            if time < now:
-                raise ValueError(
-                    f"cannot schedule into the past (t={time} < now={now})")
-            heappush(queue, (time, seq, LegacyEvent(time, seq, callback, args)))
-            seq += 1
-        self._seq = seq
 
     def pending(self) -> int:
         """Number of events still in the queue (including cancelled)."""

@@ -215,36 +215,11 @@ def test_obs_rollups_identical_across_backends(monkeypatch, violate):
 
 
 # ---------------------------------------------------------------------------
-# Network lanes: the bulk fast lane vs generic post_many vs sequential
-# sends must be invisible -- per engine backend, with and without
-# faults, and under observability.
+# The one message path: batched and single sends, clean and faulted,
+# must deliver identically on every engine backend.
 # ---------------------------------------------------------------------------
 
-def _generic_send_many(self, msgs):
-    self._send_many_generic(msgs)
-
-
-def _sequential_send_many(self, msgs):
-    for msg in msgs:
-        self.send(msg)
-
-
-#: (name, Network.send_many override or None for the stock lane).
-LANES = [("fast", None),
-         ("generic", _generic_send_many),
-         ("sequential", _sequential_send_many)]
-
-LANE_IDS = [name for name, _fn in LANES]
-
-
-def _with_lane(monkeypatch, lane):
-    from repro.sim.network import Network
-
-    if lane is not None:
-        monkeypatch.setattr(Network, "send_many", lane)
-
-
-def _burst_trace(engine_cls, lane, rules):
+def _burst_trace(engine_cls, rules):
     """Delivery trace of jittered fan-out bursts, optionally faulted.
 
     A hub batches messages to three sinks over jittered links while a
@@ -312,35 +287,16 @@ def _fault_rule_sets():
 
 
 @pytest.mark.parametrize("fault_mode", list(_fault_rule_sets()))
-def test_burst_deliveries_identical_across_engines_and_lanes(
-        monkeypatch, fault_mode):
+def test_burst_deliveries_identical_across_engines_and_lanes(fault_mode):
+    """Both entry points into the one message path -- ``send_many``
+    batches and single ``send`` calls -- deliver identically per backend."""
     rules = _fault_rule_sets()[fault_mode]
-    reference = _burst_trace(LegacyEngine,
-                             _sequential_send_many, rules)
+    reference = _burst_trace(LegacyEngine, rules)
     assert reference, "burst scenario delivered nothing"
     for backend_name, engine_cls in BACKENDS:
-        for lane_name, lane in LANES:
-            with pytest.MonkeyPatch.context() as mp:
-                _with_lane(mp, lane)
-                trace = _burst_trace(engine_cls, lane, rules)
-            assert trace == reference, (
-                f"{backend_name}/{lane_name} diverged from "
-                f"legacy/sequential under {fault_mode!r} faults")
-
-
-@pytest.mark.parametrize("lane_name,lane", LANES, ids=LANE_IDS)
-@pytest.mark.parametrize("engine_name,engine_cls",
-                         BACKENDS, ids=BACKEND_IDS)
-def test_figure_cell_byte_identical_across_lanes(monkeypatch, engine_name,
-                                                 engine_cls, lane_name, lane):
-    combo, mcms = ("MESI", "CXL", "MESI"), ("WEAK", "WEAK")
-    _with_engine(monkeypatch, LegacyEngine)
-    reference = _fig_cell(combo, mcms)
-    _with_engine(monkeypatch, engine_cls)
-    _with_lane(monkeypatch, lane)
-    assert _fig_cell(combo, mcms) == reference, (
-        f"{engine_name}/{lane_name} produced a different RunResult for "
-        f"{combo}/{mcms}")
+        assert _burst_trace(engine_cls, rules) == reference, (
+            f"{backend_name} diverged from legacy under {fault_mode!r} "
+            "faults")
 
 
 def _faulted_system_blob():
@@ -361,29 +317,10 @@ def _faulted_system_blob():
 
 
 def test_faulted_run_byte_identical_across_engines_and_lanes(monkeypatch):
+    """A faulted real run (batched and single sends) is byte-identical."""
     _with_engine(monkeypatch, LegacyEngine)
-    with pytest.MonkeyPatch.context() as mp:
-        _with_lane(mp, _sequential_send_many)
-        reference = _faulted_system_blob()
+    reference = _faulted_system_blob()
     for backend_name, engine_cls in BACKENDS:
-        for lane_name, lane in LANES:
-            with pytest.MonkeyPatch.context() as mp:
-                _with_engine(mp, engine_cls)
-                _with_lane(mp, lane)
-                blob = _faulted_system_blob()
-            assert blob == reference, (
-                f"{backend_name}/{lane_name} changed the faulted "
-                f"RunResult byte stream")
-
-
-@pytest.mark.parametrize("lane_name,lane", LANES, ids=LANE_IDS)
-def test_obs_rollups_identical_across_lanes(monkeypatch, lane_name, lane):
-    reference = _obs_rollup(False)  # stock stack, spans + metrics on
-    for _backend_name, engine_cls in BACKENDS:
-        with pytest.MonkeyPatch.context() as mp:
-            _with_engine(mp, engine_cls)
-            _with_lane(mp, lane)
-            rollup = _obs_rollup(False)
-        assert rollup == reference, (
-            f"{_backend_name}/{lane_name} produced different span/metric "
-            "rollups")
+        _with_engine(monkeypatch, engine_cls)
+        assert _faulted_system_blob() == reference, (
+            f"{backend_name} changed the faulted RunResult byte stream")

@@ -14,7 +14,12 @@ from repro.protocols.messages import (
     VNET_REQ,
     VNET_RESP,
 )
-from repro.sim.engine import Engine
+from repro.sim.engine import (
+    BatchedEngine,
+    Engine,
+    LegacyEngine,
+    load_compiled_engine_class,
+)
 from repro.sim.network import Link, Network, Node
 
 
@@ -141,3 +146,51 @@ def test_link_bandwidth_serializes_back_to_back_sends():
     assert times[0] == 190
     for earlier, later in zip(times, times[1:]):
         assert later - earlier >= 90
+
+
+ENGINE_BACKENDS = [("python", BatchedEngine), ("legacy", LegacyEngine)]
+_compiled_cls = load_compiled_engine_class()
+if _compiled_cls is not None:
+    ENGINE_BACKENDS.append(("compiled", _compiled_cls))
+
+
+@pytest.mark.parametrize("engine_cls", [cls for _name, cls in ENGINE_BACKENDS],
+                         ids=[name for name, _cls in ENGINE_BACKENDS])
+def test_send_many_missing_link_mid_batch_matches_sequential_sends(engine_cls):
+    """A batch with an unlinked hop raises KeyError, and everything sent
+    before it is delivered and counted exactly as sequential sends."""
+    def build():
+        engine = engine_cls()
+        network = Network(engine, seed=5)
+        sinks = {name: Sink(engine, network, name) for name in "abc"}
+        network.connect("a", "b", Link(latency=100, flit_cycle=10, jitter=40))
+        return engine, network, sinks
+
+    def batch():
+        return [Message(GETS, 0x10, "a", "b"),
+                Message(DATA, 0x20, "a", "b", data=1),
+                Message(INV_ACK, 0x30, "b", "a"),
+                Message(GETS, 0x40, "a", "c"),  # no a -> c link
+                Message(GETS, 0x50, "a", "b")]
+
+    def observe(engine, network, sinks):
+        state = (network.stats.messages, network.stats.bytes,
+                 engine.pending_live())
+        engine.run()
+        return state, {name: [(t, m.addr) for t, m in sink.received]
+                       for name, sink in sinks.items()}
+
+    engine, network, sinks = build()
+    with pytest.raises(KeyError, match="no link a -> c"):
+        for msg in batch():
+            network.send(msg)
+    sequential = observe(engine, network, sinks)
+
+    engine, network, sinks = build()
+    with pytest.raises(KeyError, match="no link a -> c"):
+        network.send_many(batch())
+    assert observe(engine, network, sinks) == sequential
+    (messages, _bytes, pending), delivered = sequential
+    assert messages == pending == 3
+    assert sorted(addr for _t, addr in delivered["b"]) == [0x10, 0x20]
+    assert [addr for _t, addr in delivered["a"]] == [0x30]
