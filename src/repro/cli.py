@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="exhaustively model-check one combo (sharded explorer)",
+        help="exhaustively model-check one combo (sharded model checker)",
         description="Explore every message delivery order of one litmus "
                     "program on one protocol combo, checking runtime "
                     "invariants, deadlock-freedom and outcome soundness "
@@ -585,8 +585,9 @@ def _cmd_check(args) -> int:
     print(f"  outcomes  : {len(result.outcomes)} observed / "
           f"{len(allowed)} allowed by the axiomatic model")
     if result.truncated:
-        cap = (f"{args.max_states} states" if args.max_states else
-               f"depth {args.depth}")
+        cap = (f"{args.max_states} states"
+               if args.max_states and result.states >= args.max_states
+               else f"depth {args.depth}")
         print(f"  truncated : search capped at {cap}; "
               "the verdict proves nothing beyond the cap")
     for outcome in escaped:

@@ -173,8 +173,8 @@ class Network:
         Exactly ``for msg in msgs: self.send(msg)`` -- same RNG draw
         order, fault actions, FIFO floors and busy-wire accounting --
         so an interposed ``send`` (the
-        :class:`repro.sim.trace.MessageTracer` wrap, the explorer's
-        :class:`~repro.verify.explorer.InterceptNetwork`) sees every
+        :class:`repro.sim.trace.MessageTracer` wrap, the model checker's
+        :class:`~repro.verify.mc.model.InterceptNetwork`) sees every
         message.  A missing link raises ``KeyError`` after the earlier
         messages of the batch have been sent.
         """

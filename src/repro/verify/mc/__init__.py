@@ -1,17 +1,19 @@
 """Sharded exhaustive model checking with replayable counterexamples.
 
-``repro.verify.mc`` grows the single-process DFS of
-:mod:`repro.verify.explorer` into a model-checking subsystem:
+``repro.verify.mc`` is the repository's explicit-state model checker
+(the Murphi substitute): it enumerates every network delivery order of
+small systems running the real controllers.  Its modules:
 
-- :mod:`~repro.verify.mc.fingerprint` -- process-stable canonical state
-  fingerprints (BLAKE2b over an injective encoding; identical under any
-  ``PYTHONHASHSEED`` on any host).
+- :mod:`~repro.verify.mc.fingerprint` -- the canonical state walk and
+  process-stable fingerprints over it (BLAKE2b over an injective
+  encoding; identical under any ``PYTHONHASHSEED`` on any host).
 - :mod:`~repro.verify.mc.model` -- :class:`CheckModel`, the picklable
-  description from which any worker reconstructs states by replaying
-  delivery paths (stateless model checking), or by extending the state
-  it holds live when the next path continues it.
-- :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the
-  partition-by-hash frontier engine over the
+  description from which any worker builds the system behind an
+  intercepting network and reconstructs states by replaying delivery
+  paths (stateless model checking), or by extending the state it holds
+  live when the next path continues it.
+- :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the one
+  search: a partition-by-hash frontier engine over the
   :mod:`repro.harness.dist` backends; shard *k* of *n* owns the states
   with ``fingerprint % n == k``.
 - :mod:`~repro.verify.mc.counterexample` -- deduplicated, shrunk,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConsistencyViolation
 from repro.verify.mc.fingerprint import canonical_fingerprint, fingerprint_parts
-from repro.verify.mc.model import CheckModel
+from repro.verify.mc.model import CheckModel, replay_traced
 
 #: Violation kinds a counterexample may carry.
 KIND_INVARIANT = "invariant"
@@ -92,8 +92,6 @@ class Counterexample:
         as ``violate_atomicity`` apply, and the tracer records every
         message from before the programs start.
         """
-        from repro.verify.explorer import replay_traced
-
         return replay_traced(self.model.replay, self.path)
 
     # -- shrinking -----------------------------------------------------
@@ -189,12 +187,10 @@ def _state_signature(model: CheckModel, system, network) -> tuple | None:
     """Classify one replayed state: its violation signature or None."""
     from repro.verify import invariants
 
-    if model.check_invariants:
-        try:
-            invariants.check_all(system)
-        except ConsistencyViolation:
-            return (KIND_INVARIANT,
-                    canonical_fingerprint(system, network))
+    try:
+        invariants.check_all(system)
+    except ConsistencyViolation:
+        return (KIND_INVARIANT, canonical_fingerprint(system, network))
     if not network.deliverable() and model.stuck_threads() != 0:
         return (KIND_DEADLOCK, canonical_fingerprint(system, network))
     return None

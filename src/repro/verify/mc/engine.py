@@ -1,9 +1,15 @@
 """Frontier-sharded exhaustive exploration over the sweep backends.
 
-The legacy :class:`~repro.verify.explorer.Explorer` is a single-process
-DFS; this engine partitions the same search by **state ownership**:
-shard *k* of *n* owns exactly the states whose canonical fingerprint
-satisfies ``fp % n == k``.  Every shard expands only states it owns, so
+The repository's one explicit-state search (the Murphi substitute): a
+depth-first drain over network delivery orders with a set of visited
+fingerprints.  At every reached state the runtime invariants run;
+terminal states must have every program complete (deadlock-freedom)
+and their outcomes are collected for comparison against the axiomatic
+model.
+
+The search is partitioned by **state ownership**: shard *k* of *n*
+owns exactly the states whose canonical fingerprint satisfies
+``fp % n == k``.  Every shard expands only states it owns, so
 visited-set membership needs no cross-worker coordination -- a state is
 deduplicated, invariant-checked and expanded exactly once, at its owner.
 A successor owned elsewhere is *punted*: the ``(path, fingerprint)``
@@ -149,12 +155,11 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         new_fps.append(fp)
         states += 1
         deepest = max(deepest, len(path))
-        if model.check_invariants:
-            try:
-                invariants.check_all(system)
-            except ConsistencyViolation as exc:
-                violations.append((path, KIND_INVARIANT, str(exc), fp, ()))
-                continue
+        try:
+            invariants.check_all(system)
+        except ConsistencyViolation as exc:
+            violations.append((path, KIND_INVARIANT, str(exc), fp, ()))
+            continue
         choices = network.deliverable()
         if not choices:
             stuck = model.stuck_threads()
@@ -271,6 +276,10 @@ class ModelChecker:
                  inline_wave: int = INLINE_WAVE) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        if max_states < 0:
+            raise ValueError(f"max_states must be >= 0, got {max_states}")
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
         self.model = model
         self.shards = shards
         self.backend_spec = backend

@@ -1,15 +1,15 @@
 """Process-stable canonical state fingerprints.
 
-The legacy DFS explorer fingerprints states with ``hash(parts)``, which
-is perfectly fine inside one process but useless across a worker fleet:
-``str.__hash__`` is salted by ``PYTHONHASHSEED``, so two workers would
-disagree about every fingerprint -- and partition-by-hash sharding
-routes states by ``fingerprint % shards``, which must mean the same
-thing on every host.
+:func:`state_parts` walks one (system, intercepted network) state into
+a canonical tree of primitives.  Python's ``hash`` of that tree would
+be useless across a worker fleet: ``str.__hash__`` is salted by
+``PYTHONHASHSEED``, so two workers would disagree about every
+fingerprint -- and partition-by-hash sharding routes states by
+``fingerprint % shards``, which must mean the same thing on every host.
 
-This module derives a 64-bit fingerprint from the same canonical state
-walk (:func:`repro.verify.explorer.state_parts`) via a keyed-nothing
-BLAKE2b over a deterministic byte encoding.  Guarantees:
+This module therefore derives a 64-bit fingerprint from the state walk
+via a keyed-nothing BLAKE2b over a deterministic byte encoding.
+Guarantees:
 
 - identical states produce identical fingerprints in any process, on
   any host, under any ``PYTHONHASHSEED``;
@@ -29,8 +29,6 @@ byte-identical to :func:`_encode`'s, so fingerprints and the
 from __future__ import annotations
 
 import hashlib
-
-from repro.verify.explorer import state_parts
 
 #: Fingerprint width in bytes (64-bit: birthday-safe to ~10^9 states).
 DIGEST_BYTES = 8
@@ -157,3 +155,116 @@ def fingerprint_parts(parts) -> int:
 def canonical_fingerprint(system, network) -> int:
     """Fingerprint one live (system, intercepted network) state."""
     return fingerprint_parts(state_parts(system, network))
+
+
+# ---------------------------------------------------------------------------
+# The canonical state walk.
+# ---------------------------------------------------------------------------
+
+def _rec_fp(rec):
+    return (rec.owner, rec.owner_kind, tuple(sorted(rec.sharers)), rec.f_holder)
+
+
+def state_parts(system, network) -> tuple:
+    """Canonical nested-tuple digest of one (system, outbox) state.
+
+    Everything observable that distinguishes two protocol states is
+    flattened to primitives (ints, strings, bools, None) in a fixed
+    order: cache lines, MSHRs, bridge transactions, port pending sets,
+    home directory, core registers/store buffers, and the in-flight
+    messages grouped per FIFO channel *preserving order* within the
+    channel.  :func:`canonical_fingerprint` hashes these parts.
+    """
+    parts = []
+    for cluster in system.clusters:
+        for l1 in cluster.l1s:
+            lines = tuple(sorted(
+                (line.addr, line.state, line.data, line.dirty)
+                for line in l1.cache.lines()
+            ))
+            mshrs = tuple(sorted(
+                (addr, mshr.txn, mshr.have_data, mshr.have_grant,
+                 mshr.grant_state, mshr.data, len(mshr.ops))
+                for addr, mshr in getattr(l1, "mshrs", {}).items()
+            ))
+            parts.append((l1.node_id, lines, mshrs))
+        bridge = cluster.bridge
+        lines = tuple(sorted(
+            (line.addr, line.state, line.data, line.dirty,
+             line.meta.get("stale", False), _rec_fp(bridge.dir_record(line)))
+            for line in bridge.cache.lines()
+        ))
+        busy = tuple(sorted(
+            (addr, txn.kind, txn.requester, txn.phase, txn.acks_needed,
+             txn.acks_got, txn.owner_forwarded, txn.was_sharer)
+            for addr, txn in bridge.busy.items()
+        ))
+        recalls = tuple(sorted(
+            (addr, recall.mode, recall.acks_needed, recall.acks_got)
+            for addr, recall in bridge.recalls.items()
+        ))
+        pq = tuple(sorted(
+            (addr, tuple(m.kind for m in queue))
+            for addr, queue in bridge.pq_local.items()
+        ))
+        port = bridge.port
+        pending = tuple(sorted(
+            (addr, p.want, p.grant_seen, p.grant_state, p.data,
+             p.acks_needed, p.acks_got)
+            for addr, p in port.pending.items()
+        ))
+        wbs = tuple(sorted(
+            (addr, w.held_snoop.kind if w.held_snoop else None)
+            for addr, w in port.wb.items()
+        ))
+        snoops = tuple(sorted(
+            (addr, tuple(m.kind for m in queue))
+            for addr, queue in port.snoop_q.items()
+        ))
+        active = tuple(sorted(
+            (addr, msg.kind) for addr, msg in port.active_snoop.items()
+        ))
+        conflict = tuple(sorted(
+            (addr, state["snoop"].kind, state["granted"])
+            for addr, state in getattr(port, "conflict_state", {}).items()
+        ))
+        parts.append((bridge.node_id, lines, busy, recalls, pq,
+                      tuple(sorted(bridge.evicting)), pending, wbs, snoops,
+                      active, conflict))
+    home = system.home
+    home_lines = tuple(sorted(
+        (addr, line.state, line.owner, tuple(sorted(line.sharers)),
+         getattr(line, "data_pending", False))
+        for addr, line in home.lines.items()
+    ))
+    home_busy = tuple(sorted(
+        (addr, txn.kind, txn.requester, tuple(sorted(txn.targets)))
+        for addr, txn in getattr(home, "busy", {}).items()
+    ))
+    home_queue = tuple(sorted(
+        (addr, tuple(entry[0].kind if isinstance(entry, tuple) else entry.kind
+                     for entry in queue))
+        for addr, queue in home.queues.items()
+    ))
+    parts.append(("home", home_lines, home_busy, home_queue,
+                  tuple(sorted(system.backing.snapshot().items()))))
+    for core in system.cores:
+        parts.append((
+            core.core_id, tuple(core.status),
+            tuple((e.op_index, e.addr, e.value, e.draining) for e in core.sb),
+            tuple(sorted(core.regs.items())),
+        ))
+    # In-flight messages, grouped per FIFO channel *preserving order*
+    # within the channel (order across channels is immaterial).
+    channels: dict = {}
+    for msg in network.outbox:
+        key = (msg.src, msg.dst, msg.vnet)
+        channels.setdefault(key, []).append(
+            (msg.kind, msg.addr, msg.meta, msg.data, msg.acks,
+             msg.extra.get("req"), msg.extra.get("inv", False),
+             msg.extra.get("kept"), msg.extra.get("dirty", False))
+        )
+    parts.append(tuple(sorted(
+        (key, tuple(entries)) for key, entries in channels.items()
+    )))
+    return tuple(parts)

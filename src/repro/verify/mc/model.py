@@ -2,13 +2,24 @@
 
 A :class:`CheckModel` is everything a worker needs to rebuild the
 system under test from nothing: the protocol combo, the thread
-programs, the MCMs, placement and the observed addresses.  States are
-closures inside controller objects and cannot cross a process
-boundary; the *model* can, so sharded exploration ships models plus
-delivery paths and every worker reconstructs states by replay --
-stateless model checking, distributed.  Within one worker the search
-keeps the state it last materialised live and extends it in place when
-the next path continues it (:meth:`CheckModel.replay`'s ``base``).
+programs, the MCMs and the observed addresses.  States are closures
+inside controller objects and cannot cross a process boundary; the
+*model* can, so sharded exploration ships models plus delivery paths
+and every worker reconstructs states by replay -- stateless model
+checking, distributed.  Within one worker the search keeps the state
+it last materialised live and extends it in place when the next path
+continues it (:meth:`CheckModel.replay`'s ``base``).
+
+The system runs the *actual implementation*, not a re-model of the
+protocol: its network is swapped for an :class:`InterceptNetwork`, so
+every sent message lands in an outbox and waits for the search to
+choose the next delivery (per-channel FIFO, exactly like the real
+fabric).  Because controller continuations are closures, a state
+cannot be snapshotted cheaply -- a ``copy.deepcopy`` fork of a
+mid-depth state costs several times a full replay -- so states are
+reproduced by replaying their delivery-choice path.  Programs are
+shared, not copied, across rebuilds: a core only reads its thread's
+``Op`` list, so every rebuilt system runs the same objects.
 
 ``violate_atomicity`` switches off the bridge's Rule-II enforcement --
 the paper's Fig. 4 failure injection -- so tests can demand that the
@@ -18,40 +29,74 @@ absence only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.verify.explorer import Explorer, deliver_path
+from repro.protocols.messages import Message
+from repro.sim.config import ClusterConfig, SystemConfig
+from repro.sim.network import Network
+from repro.sim.system import build_system
+from repro.verify import invariants
+
+
+class InterceptNetwork(Network):
+    """Network that parks sent messages for explicit delivery choices."""
+
+    def __init__(self, engine, seed=1):
+        super().__init__(engine, seed)
+        self.outbox: list[Message] = []
+
+    def send(self, msg: Message) -> None:
+        self.stats.record(msg)
+        self.outbox.append(msg)
+
+    def deliverable(self) -> list[int]:
+        """Outbox indices eligible for delivery: per-(src, dst, vnet)
+        channels are FIFO, so only the oldest message of each channel
+        may be delivered."""
+        seen_channels = set()
+        eligible = []
+        for index, msg in enumerate(self.outbox):
+            channel = (msg.src, msg.dst, msg.vnet)
+            if channel in seen_channels:
+                continue
+            seen_channels.add(channel)
+            eligible.append(index)
+        return eligible
+
+    def deliver(self, index: int) -> None:
+        """Deliver (and remove) the outbox message at ``index``."""
+        msg = self.outbox.pop(index)
+        self.nodes[msg.dst].handle_message(msg)
 
 
 @dataclass
 class CheckModel:
-    """Reconstructible specification of one exploration problem."""
+    """Reconstructible specification of one exploration problem.
+
+    Threads alternate clusters: thread *t* runs on core ``t // 2`` of
+    cluster ``t % 2``.
+    """
 
     combo: tuple[str, str, str]
     programs: tuple
     mcms: tuple[str, str] = ("SC", "SC")
-    placement: tuple | None = None
     observed_addrs: tuple = ()
-    check_invariants: bool = True
     violate_atomicity: bool = False
 
-    #: Lazily constructed replay engine (never pickled).
-    _explorer: Explorer | None = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_explorer"] = None  # rebuilt lazily on the other side
-        return state
-
-    def _engine(self) -> Explorer:
-        if self._explorer is None:
-            self._explorer = Explorer(
-                self.combo, list(self.programs),
-                placement=list(self.placement) if self.placement else None,
-                mcms=self.mcms, observed_addrs=tuple(self.observed_addrs),
-                check_invariants=self.check_invariants,
-            )
-        return self._explorer
+    def system_config(self) -> SystemConfig:
+        """The configuration every replay builds its system from: two
+        clusters with enough cores for the programs and no cross-cluster
+        jitter (the search chooses delivery orders, not the network)."""
+        local_a, global_protocol, local_b = self.combo
+        cores = max(1, (len(self.programs) + 1) // 2)
+        return SystemConfig(
+            clusters=(
+                ClusterConfig(cores=cores, protocol=local_a, mcm=self.mcms[0]),
+                ClusterConfig(cores=cores, protocol=local_b, mcm=self.mcms[1]),
+            ),
+            global_protocol=global_protocol,
+            cross_jitter_ns=0.0,
+        )
 
     def replay(self, path, base=None, setup=None):
         """Materialise the state at the end of ``path``.
@@ -62,7 +107,8 @@ class CheckModel:
         ``path``: only the remaining choices are delivered, on that
         live state, which is consumed.  Delivery is deterministic, so
         both give the same state.  ``setup(system, network)`` runs on a
-        rebuilt system before any program starts.
+        rebuilt system before any program starts, so it sees every
+        message the system sends.
 
         Returns ``(system, network)``; the intercepted network's outbox
         holds the deliverable messages of the state.
@@ -70,25 +116,45 @@ class CheckModel:
         if base is not None:
             base_path, system, network = base
             return deliver_path(system, network, path[len(base_path):])
+        config = self.system_config()
+        system = build_system(config, violate_atomicity=self.violate_atomicity)
+        # Swap in the intercepting network: re-register nodes and links.
+        old = system.network
+        network = InterceptNetwork(system.engine, seed=config.seed)
+        network.nodes = old.nodes
+        network.links = old.links
+        for node in old.nodes.values():
+            node.network = network
+        system.network = network
+        if setup is not None:
+            setup(system, network)
 
-        def prepare(system, network):
-            if self.violate_atomicity:
-                for cluster in system.clusters:
-                    cluster.bridge.violate_atomicity = True
-            if setup is not None:
-                setup(system, network)
+        cores = config.clusters[0].cores
+        remaining = self._remaining = [len(self.programs)]
 
-        system, network = self._engine()._fresh_system(prepare)
+        def on_done(_thread):
+            remaining[0] -= 1
+
+        for tid, program in enumerate(self.programs):
+            system.cores[(tid % 2) * cores + tid // 2].run_program(
+                program, on_done)
+        system.engine.run()
         return deliver_path(system, network, path)
 
     def stuck_threads(self) -> int:
         """Threads not yet complete in the most recently rebuilt system,
         as it stands now (extending it in place advances it)."""
-        return self._engine()._done["count"]
+        return self._remaining[0]
 
     def outcome(self, system) -> tuple:
         """Terminal outcome tuple (registers + observed memory)."""
-        return self._engine()._outcome(system)
+        outcome = {}
+        for core in system.cores:
+            outcome.update(core.regs)
+        for addr in self.observed_addrs:
+            value = invariants._authoritative_value(system, addr)
+            outcome[f"[{addr}]"] = value if value is not None else 0
+        return tuple(sorted(outcome.items()))
 
     # -- serialization for regression fixtures -------------------------
     def to_dict(self) -> dict:
@@ -96,9 +162,7 @@ class CheckModel:
         return {
             "combo": list(self.combo),
             "mcms": list(self.mcms),
-            "placement": list(self.placement) if self.placement else None,
             "observed_addrs": list(self.observed_addrs),
-            "check_invariants": self.check_invariants,
             "violate_atomicity": self.violate_atomicity,
             "programs": [
                 {
@@ -119,9 +183,19 @@ class CheckModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CheckModel":
-        """Rebuild a model from :meth:`to_dict` output."""
+        """Rebuild a model from :meth:`to_dict` output.
+
+        A payload may name ``placement`` or ``check_invariants`` only at
+        the values every model uses (alternating clusters, invariants
+        checked); any other value raises ``ValueError``.
+        """
         from repro.cpu.isa import Op, ThreadProgram
 
+        if payload.get("placement"):
+            raise ValueError("custom thread placement is not supported; "
+                             "threads alternate clusters")
+        if not payload.get("check_invariants", True):
+            raise ValueError("invariant checking cannot be turned off")
         programs = tuple(
             ThreadProgram(entry["name"], [
                 Op(kind=op["kind"], addr=op["addr"], value=op["value"],
@@ -131,25 +205,47 @@ class CheckModel:
             ])
             for entry in payload["programs"]
         )
-        placement = payload.get("placement")
         return cls(
             combo=tuple(payload["combo"]),
             programs=programs,
             mcms=tuple(payload["mcms"]),
-            placement=tuple(placement) if placement else None,
             observed_addrs=tuple(payload.get("observed_addrs", ())),
-            check_invariants=payload.get("check_invariants", True),
             violate_atomicity=payload.get("violate_atomicity", False),
         )
+
+
+def deliver_path(system, network, path):
+    """Deliver ``path``'s outbox choices in order, running the engine to
+    quiescence after each; returns ``(system, network)``."""
+    for choice in path:
+        network.deliver(choice)
+        system.engine.run()
+    return system, network
+
+
+def replay_traced(replay, path):
+    """Run ``replay(path, setup=...)`` with a message tracer attached.
+
+    The tracer is installed by ``setup``, before any program starts, so
+    it records every message the replay sends, the root's included.
+    Returns ``(system, tracer)``.
+    """
+    from repro.sim.trace import MessageTracer
+
+    tracers = []
+    system, _network = replay(
+        path, setup=lambda _system, network: tracers.append(
+            MessageTracer(network)))
+    return system, tracers[0]
 
 
 def litmus_model(name: str, combo, mcms=("SC", "SC")) -> CheckModel:
     """Build the model for one named builtin litmus test.
 
     ``mcms`` is the per-*cluster* pair; threads alternate clusters
-    (T0 -> A, T1 -> B, ...) exactly as the explorer places them, so the
-    per-thread MCM list handed to :func:`materialize` is expanded the
-    same way.
+    (T0 -> A, T1 -> B, ...) exactly as :class:`CheckModel` places them,
+    so the per-thread MCM list handed to :func:`materialize` is
+    expanded the same way.
     """
     from repro.core.spec import canonical_global_name, canonical_local_name
     from repro.verify.litmus import LITMUS_BY_NAME, materialize

@@ -7,58 +7,31 @@ the invariants; every terminal must be deadlock-free with coherent
 final values.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cpu.isa import ThreadProgram, load, store
-from repro.sim.config import ClusterConfig, LINE_BYTES, SystemConfig
-from repro.verify.explorer import Explorer
+from repro.sim.config import LINE_BYTES
+from repro.verify.mc import CheckModel, check_model
 
 
-class TinyExplorer(Explorer):
-    """Explorer over clusters with 2-line L1s and 2-line CXL caches."""
+class TinyModel(CheckModel):
+    """Check model over clusters with 2-line L1s and 2-line CXL caches."""
 
-    def _fresh_system(self):
-        # Rebuild with tiny caches by patching the config the base
-        # class constructs; simplest is to override construction fully.
-        from repro.sim.system import build_system
-        import copy
-
-        local_a, global_protocol, local_b = self.combo
-        threads = len(self.programs)
-        cores = max(1, (threads + 1) // 2)
+    def system_config(self):
+        config = super().system_config()
         tiny = dict(l1_bytes=2 * LINE_BYTES, l1_assoc=1,
                     llc_bytes=2 * LINE_BYTES, llc_assoc=1)
-        config = SystemConfig(
-            clusters=(
-                ClusterConfig(cores=cores, protocol=local_a, mcm=self.mcms[0], **tiny),
-                ClusterConfig(cores=cores, protocol=local_b, mcm=self.mcms[1], **tiny),
-            ),
-            global_protocol=global_protocol,
-            cross_jitter_ns=0.0,
-        )
-        system = build_system(config)
-        from repro.verify.explorer import InterceptNetwork
+        return dataclasses.replace(config, clusters=tuple(
+            dataclasses.replace(cluster, **tiny)
+            for cluster in config.clusters))
 
-        old = system.network
-        network = InterceptNetwork(system.engine, seed=config.seed)
-        network.nodes = old.nodes
-        network.links = old.links
-        for node in old.nodes.values():
-            node.network = network
-        system.network = network
 
-        placement = self.placement or [
-            (tid % 2) * cores + tid // 2 for tid in range(threads)
-        ]
-        self._done = {"count": threads}
-
-        def on_done(_t):
-            self._done["count"] -= 1
-
-        for program, core_index in zip(self.programs, placement):
-            system.cores[core_index].run_program(copy.deepcopy(program), on_done)
-        system.engine.run()
-        return system, network
+def _check(combo, programs, mcms, observed_addrs):
+    model = TinyModel(combo=combo, programs=tuple(programs), mcms=mcms,
+                      observed_addrs=observed_addrs)
+    return check_model(model, max_states=6_000)
 
 
 # Two conflicting lines (same set in every 1-way structure) force
@@ -66,20 +39,23 @@ class TinyExplorer(Explorer):
 A, B = 0x10, 0x12  # both even: same set in 2-line (2-set) caches? sets=2 -> 0x10%2=0, 0x12%2=0
 
 
-@pytest.mark.parametrize("combo", [
-    ("MESI", "CXL", "MESI"),
-    ("MESI", "CXL", "MOESI"),
-    ("MESI", "MESI", "MESI"),
-], ids=lambda c: "-".join(c))
+#: Exhaustive eviction-pressure state counts per combo.
+EVICTION_STATES = {
+    ("MESI", "CXL", "MESI"): 217,
+    ("MESI", "CXL", "MOESI"): 217,
+    ("MESI", "MESI", "MESI"): 211,
+}
+
+
+@pytest.mark.parametrize("combo", list(EVICTION_STATES),
+                         ids=lambda c: "-".join(c))
 def test_eviction_pressure_exhaustive(combo):
     programs = [
         ThreadProgram("w", [store(A, 1), store(B, 2), load(A, "ra")]),
         ThreadProgram("r", [load(B, "rb")]),
     ]
-    explorer = TinyExplorer(combo, programs, mcms=("SC", "SC"),
-                            observed_addrs=(A, B), max_states=6_000)
-    result = explorer.explore()
-    assert not result.violations, result.violations[:1]
+    result = _check(combo, programs, ("SC", "SC"), (A, B))
+    assert not result.counterexamples, result.counterexamples[:1]
     assert result.terminals > 0
     for outcome in result.outcomes:
         values = dict(outcome)
@@ -87,6 +63,8 @@ def test_eviction_pressure_exhaustive(combo):
         assert values[f"[{A}]"] == 1 and values[f"[{B}]"] == 2
         assert values["rb"] in (0, 2)
     assert result.states > 50
+    assert result.ok
+    assert result.states == EVICTION_STATES[combo]
 
 
 def test_cross_cluster_steal_during_eviction_exhaustive():
@@ -95,15 +73,14 @@ def test_cross_cluster_steal_during_eviction_exhaustive():
         ThreadProgram("w", [store(A, 7), store(B, 8)]),  # B evicts A
         ThreadProgram("r", [load(A, "r0")]),
     ]
-    explorer = TinyExplorer(("MESI", "CXL", "MESI"), programs,
-                            mcms=("SC", "SC"), observed_addrs=(A,),
-                            max_states=6_000)
-    result = explorer.explore()
-    assert not result.violations, result.violations[:1]
+    result = _check(("MESI", "CXL", "MESI"), programs, ("SC", "SC"), (A,))
+    assert not result.counterexamples, result.counterexamples[:1]
     for outcome in result.outcomes:
         values = dict(outcome)
         assert values[f"[{A}]"] == 7
         assert values["r0"] in (0, 7)
+    assert result.ok
+    assert result.states == 179
 
 
 def test_rcc_cluster_exhaustive():
@@ -111,10 +88,9 @@ def test_rcc_cluster_exhaustive():
         ThreadProgram("w", [store(A, 3)]),
         ThreadProgram("r", [load(A, "r0")]),
     ]
-    explorer = TinyExplorer(("RCC", "CXL", "MESI"), programs,
-                            mcms=("RCC", "SC"), observed_addrs=(A,),
-                            max_states=6_000)
-    result = explorer.explore()
-    assert not result.violations, result.violations[:1]
+    result = _check(("RCC", "CXL", "MESI"), programs, ("RCC", "SC"), (A,))
+    assert not result.counterexamples, result.counterexamples[:1]
     for outcome in result.outcomes:
         assert dict(outcome)["r0"] in (0, 3)
+    assert result.ok
+    assert result.states == 56

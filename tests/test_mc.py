@@ -2,8 +2,8 @@
 
 Covers the four pillars of the subsystem: canonical fingerprints are
 process-stable and injective, the sharded engine is exactly equivalent
-to the serial and legacy searches, injected defects are *found* (with
-shrunk, replayable counterexamples), and the shipped pairings verify
+to the serial search, injected defects are *found* (with shrunk,
+replayable counterexamples), and the shipped pairings verify
 exhaustively.
 """
 
@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.isa import ThreadProgram, load, store
-from repro.verify.explorer import Explorer, ExplorationResult
 from repro.verify.litmus import LITMUS_BY_NAME, materialize
 from repro.verify.mc import (
     CheckModel,
+    CheckResult,
     Counterexample,
     ModelChecker,
     check_litmus,
@@ -37,7 +37,9 @@ from repro.verify.mc.fingerprint import (
     canonical_bytes,
     canonical_fingerprint,
     fingerprint_parts,
+    state_parts,
 )
+from repro.verify.mc.model import replay_traced
 
 X, Y = 0x10, 0x11
 COMBO = ("MESI", "CXL", "MESI")
@@ -191,8 +193,6 @@ def test_leaf_caches_keep_equal_values_of_different_types_apart():
 
 def test_canonical_bytes_match_the_reference_on_litmus_states():
     model = litmus_model("SB", COMBO)
-    from repro.verify.explorer import state_parts
-
     path = ()
     for _ in range(12):
         system, network = model.replay(path)
@@ -225,20 +225,8 @@ def test_fingerprints_stable_across_hash_seeds():
 
 
 # ---------------------------------------------------------------------------
-# Engine equivalence: legacy DFS == mc serial == mc sharded.
+# Engine equivalence: mc serial == mc sharded.
 # ---------------------------------------------------------------------------
-
-def test_mc_matches_legacy_explorer_on_corr1(corr1_serial):
-    test = LITMUS_BY_NAME["CoRR1"]
-    legacy = Explorer(COMBO, materialize(test, ["SC", "SC"]),
-                      mcms=("SC", "SC"), max_states=100_000,
-                      observed_addrs=test.observed_addrs).explore()
-    assert not legacy.truncated
-    assert corr1_serial.states == legacy.states
-    assert corr1_serial.terminals == legacy.terminals
-    assert corr1_serial.outcomes == legacy.outcomes
-    assert corr1_serial.ok and legacy.ok
-
 
 def test_sharded_search_is_equivalent_to_serial(corr1_serial):
     sharded = check_litmus("CoRR1", COMBO, shards=3, max_states=0)
@@ -275,27 +263,41 @@ def test_write_write_race_outcomes_via_mc():
     assert result.outcomes == {((f"[{X}]", 1),), ((f"[{X}]", 2),)}
 
 
+@pytest.mark.parametrize("option", [
+    {"placement": [1, 0]}, {"check_invariants": False},
+], ids=lambda option: next(iter(option)))
+def test_model_payload_with_a_removed_option_is_rejected(option):
+    """Payloads may still name placement / invariant checking, but only
+    at the defaults the model always uses now."""
+    payload = litmus_model("MP", COMBO).to_dict()
+    defaults = dict(payload, placement=None, check_invariants=True)
+    assert CheckModel.from_dict(defaults) == CheckModel.from_dict(payload)
+    with pytest.raises(ValueError):
+        CheckModel.from_dict(dict(payload, **option))
+
+
 def test_check_model_survives_pickling():
     import pickle
 
     model = litmus_model("MP", COMBO)
-    model.replay((0,))  # force the lazy engine into existence
+    model.replay((0,))  # leave a rebuilt system's thread counter behind
     clone = pickle.loads(pickle.dumps(model))
     assert clone.combo == model.combo
     assert clone.outcome(clone.replay(())[0]) is not None
 
 
 # ---------------------------------------------------------------------------
-# Truncation semantics (legacy + mc).
+# Truncation semantics.
 # ---------------------------------------------------------------------------
 
 def test_truncated_exploration_is_not_ok():
     """A capped run proves nothing: ok must be False even with zero
-    violations and some terminals found (regression for the old
-    ExplorationResult.ok)."""
-    capped = ExplorationResult(states=10, terminals=1, truncated=True)
+    violations and some terminals found."""
+    model = litmus_model("MP", COMBO)
+    capped = CheckResult(model=model, states=10, terminals=1, truncated=True)
     assert not capped.ok
-    assert ExplorationResult(states=10, terminals=1, truncated=False).ok
+    assert CheckResult(model=model, states=10, terminals=1,
+                       truncated=False).ok
 
     result = check_litmus("MP", COMBO, max_states=30)
     assert result.truncated and not result.ok and not result.counterexamples
@@ -430,6 +432,50 @@ def test_cli_check_truncated_exit_one(capsys):
     assert "truncated" in out
 
 
+def test_cli_check_names_the_state_cap_that_fired(capsys):
+    from repro.cli import main
+
+    code = main(["check", "--litmus", "MP", "--max-states", "25",
+                 "--depth", "40"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "truncated : search capped at 25 states" in out
+
+
+def test_cli_check_names_the_depth_cap_that_fired(capsys):
+    """A depth-capped run under the default state cap reports the depth
+    cap, not the state cap it never reached."""
+    from repro.cli import main
+
+    code = main(["check", "--litmus", "MP", "--depth", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "INCONCLUSIVE" in out
+    assert "truncated : search capped at depth 5" in out
+    assert "200000" not in out
+
+
+@pytest.mark.parametrize("caps", [
+    {"max_states": -1}, {"max_depth": -2},
+], ids=lambda caps: next(iter(caps)))
+def test_negative_caps_are_rejected(caps):
+    with pytest.raises(ValueError, match=next(iter(caps))):
+        ModelChecker(litmus_model("MP", COMBO), **caps)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-states", "-1"], ["--depth", "-2"],
+], ids=lambda flags: flags[0].lstrip("-"))
+def test_cli_check_negative_caps_exit_two(capsys, flags):
+    from repro.cli import main
+
+    code = main(["check", "--litmus", "MP", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err and "must be >= 0" in captured.err
+    assert "states" not in captured.out  # no search ran
+
+
 def test_cli_check_unknown_litmus_exit_two(capsys):
     from repro.cli import main
 
@@ -542,8 +588,8 @@ def _result_digest(result) -> str:
 
 class _ExtensionOracle(CheckModel):
     """Checks every extended state against a from-scratch replay on a
-    twin model (its own explorer, so the live state's thread counter
-    is left alone)."""
+    twin model (its own thread counter, so the live state's counter is
+    left alone)."""
 
     twin: CheckModel
     extended = 0
@@ -576,7 +622,7 @@ def _oracle_model(name, combo, broken):
     plain = litmus_model(name, tuple(combo.split("-")))
     fields = {f.name: getattr(plain, f.name)
               for f in dataclasses.fields(CheckModel) if f.init}
-    fields.update(violate_atomicity=broken, _explorer=None)
+    fields.update(violate_atomicity=broken)
     model = _ExtensionOracle(**fields)
     model.twin = CheckModel(**fields)
     model.mismatches = []
@@ -644,11 +690,10 @@ def test_traced_counterexample_replay_is_the_checked_replay(broken_mp):
 
 
 def test_explorer_traced_replay_records_the_root_sends():
-    programs = [
+    model = CheckModel(combo=COMBO, programs=(
         ThreadProgram("w", [store(X, 1)]),
         ThreadProgram("r", [load(X, "r0")]),
-    ]
-    explorer = Explorer(COMBO, programs, mcms=("SC", "SC"))
-    system, tracer = explorer.replay_with_trace(())
+    ))
+    system, tracer = replay_traced(model.replay, ())
     assert tracer.entries
     assert len(tracer.entries) == system.network.stats.messages

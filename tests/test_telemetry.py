@@ -492,8 +492,6 @@ def test_explore_shard_crash_ships_flight():
     class _CrashModel:
         """Model whose every replay explodes."""
 
-        check_invariants = False
-
         def replay(self, path):
             """Blow up unconditionally."""
             raise RuntimeError("controller exploded")
