@@ -2,8 +2,8 @@
 
 :func:`compiled_engine_class` returns a ``CompiledEngine`` class that
 subclasses the C ``EngineCore`` (built on demand by
-:mod:`repro.sim._engine_build`) and fills in the cold paths -- handle
-objects, the sampled run loop, stall digests -- in Python.  The hot
+:mod:`repro.sim._engine_build`) and fills in the cold paths -- budget
+validation, the sampled run loop, stall digests -- in Python.  The hot
 paths (``post``/``post_at``/the drain loop) are inherited straight from
 C.  Returns ``None`` when the extension cannot be built or loaded, in
 which case :mod:`repro.sim.engine` falls back to the pure-Python
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gc as _gc
 import time as _time_mod
-from typing import Any, Callable
 
 from repro.sim import _engine_build
 
@@ -32,7 +31,12 @@ def compiled_engine_class(build: bool = True) -> type | None:
     if core is None:
         return None
 
-    from repro.sim.engine import SimulationLimitError, _callback_name
+    from repro.sim.engine import (
+        SimulationLimitError,
+        _callback_name,
+        _run_budget,
+        format_stall_digest,
+    )
 
     class CompiledEngine(core.EngineCore):
         """Discrete-event engine backed by the compiled C event heap.
@@ -46,41 +50,27 @@ def compiled_engine_class(build: bool = True) -> type | None:
 
         def __init__(self) -> None:
             super().__init__()
-            self._running = False
             self.sampler = None
             self.span_recorder = None
 
-        # `schedule` (handle-bearing) is inherited from the C core: one
-        # C call builds the args tuple, guard, heap entry, and the
-        # returned EventView handle.
-
-        def schedule_at(self, time: int, callback: Callable[..., None],
-                        *args: Any):
-            """Schedule ``callback(*args)`` at absolute tick ``time``."""
-            return self.schedule(time - self.now, callback, *args)
-
-        def run(self, until: int | None = None,
-                max_events: int | None = None) -> int:
-            """Run until the queue drains, ``until`` ticks, or ``max_events``."""
+        def run(self, max_events: int | None = None) -> int:
+            """Run until the queue drains or ``max_events`` events have run."""
+            budget = _run_budget(max_events)
             if self.sampler is not None:
-                return self._run_sampled(until, max_events)
-            self._running = True
+                return self._run_sampled(max_events, budget)
             gc_enabled = _gc.isenabled()
             if gc_enabled:
                 _gc.disable()
             try:
-                status = self._drain(-1 if until is None else until,
-                                     -1 if max_events is None else max_events)
+                status = self._drain(budget)
             finally:
-                self._running = False
                 if gc_enabled:
                     _gc.enable()
             if status:
                 raise SimulationLimitError(self.stall_digest(max_events))
             return self.now
 
-        def _run_sampled(self, until: int | None,
-                         max_events: int | None) -> int:
+        def _run_sampled(self, max_events: int | None, budget: int) -> int:
             """Instrumented run loop (``EngineSampler`` attached).
 
             Steps the C core one event at a time so every callback can
@@ -89,21 +79,17 @@ def compiled_engine_class(build: bool = True) -> type | None:
             sampler = self.sampler
             perf = _time_mod.perf_counter
             every = sampler.sample_every
-            self._running = True
+            gc_enabled = _gc.isenabled()
+            if gc_enabled:
+                _gc.disable()
             executed = 0
             try:
                 while self.pending() > 0:
-                    if until is not None and self._peek_time() > until:
-                        self.now = until
-                        break
-                    if max_events is not None and executed >= max_events:
+                    if executed >= budget:
                         self.events_executed += executed
                         executed = 0
                         raise SimulationLimitError(self.stall_digest(max_events))
-                    item = self._pop_live()
-                    if item is None:
-                        continue
-                    _t, callback, cbargs = item
+                    _t, callback, cbargs = self._pop()
                     t0 = perf()
                     callback(*cbargs)
                     elapsed = perf() - t0
@@ -111,39 +97,14 @@ def compiled_engine_class(build: bool = True) -> type | None:
                     sampler.record(_callback_name(callback), elapsed, depth)
                     executed += 1
             finally:
-                self._running = False
                 self.events_executed += executed
+                if gc_enabled:
+                    _gc.enable()
             return self.now
 
         def stall_digest(self, max_events: int | None = None) -> str:
-            """Multi-line diagnosis of a stalled/livelocked run."""
-            items = self._items()
-            live = [(time, seq, callback) for time, seq, callback, alive
-                    in items if alive]
-            lines = [
-                f"exceeded {max_events} events at t={self.now} "
-                f"({len(items)} pending, {len(live)} live); "
-                "likely livelock or deadlock retry storm"
-            ]
-            if live:
-                counts: dict[str, int] = {}
-                for _time, _seq, callback in live:
-                    name = _callback_name(callback)
-                    counts[name] = counts.get(name, 0) + 1
-                top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-                lines.append(
-                    "top pending callbacks: "
-                    + ", ".join(f"{name} x{count}" for name, count in top))
-                oldest = min(live, key=lambda item: (item[0], item[1]))
-                age = self.now - oldest[0]
-                lines.append(
-                    f"oldest queued: {_callback_name(oldest[2])} "
-                    f"scheduled for t={oldest[0]} (age {max(age, 0)} ticks)")
-            if self.span_recorder is not None:
-                stale = self.span_recorder.oldest_open(3)
-                if stale:
-                    lines.append("oldest in-flight spans: " + "; ".join(stale))
-            return "\n".join(lines)
+            """Multi-line diagnosis of a stalled run (``format_stall_digest``)."""
+            return format_stall_digest(self, max_events, self._items())
 
     _compiled_class = CompiledEngine
     return CompiledEngine

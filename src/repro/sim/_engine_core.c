@@ -2,24 +2,18 @@
  *
  * Implements the same contract as repro.sim.engine.BatchedEngine --
  * events ordered by (time, insertion seq), FIFO among same-tick events,
- * lazy O(1) cancellation, identical watchdog semantics -- as a binary
- * heap of flat C structs.  Steady-state scheduling allocates *nothing*
- * for the common <=2-argument events: the arguments are stored inline
- * in the heap entry and fired via vectorcall, so only 3+-arg events pay
- * for an args tuple.
+ * identical watchdog semantics -- as a binary heap of flat C structs.
+ * Steady-state scheduling allocates *nothing* for the common
+ * <=2-argument events: the arguments are stored inline in the heap
+ * entry and fired via vectorcall, so only 3+-arg events pay for an
+ * args tuple.
  *
  * The type is deliberately minimal: hot paths (post / post_at /
- * schedule / _drain) live here, cold paths (stall digests, the sampled
- * run loop) live in the Python subclass in repro/sim/_engine_compiled.py.
- * Build is on demand via repro/sim/_engine_build.py; the pure-Python
- * engine is the automatic fallback, so this file is an optimization,
- * never a requirement.
- *
- * Cancellation protocol: handle-bearing events point at their EventView
- * handle, whose `dead` flag flips when the event is cancelled (keeping
- * the live counter exact) or consumed by the drain loop -- which is
- * what makes a late cancel() a no-op, mirroring the
- * record-neutralization trick of the pure-Python batched engine.
+ * _drain) live here, cold paths (stall digests, the sampled run loop)
+ * live in the Python subclass in repro/sim/_engine_compiled.py.  Build
+ * is on demand via repro/sim/_engine_build.py; the pure-Python engine
+ * is the automatic fallback, so this file is an optimization, never a
+ * requirement.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,7 +30,6 @@ typedef struct {
     PyObject *a0;
     PyObject *a1;
     Py_ssize_t nargs;
-    PyObject *guard; /* NULL for post(); the EventView for schedule() */
 } Entry;
 
 typedef struct {
@@ -44,29 +37,10 @@ typedef struct {
     long long now;
     long long seq;
     long long events_executed;
-    long long live;
     Entry *heap;
     Py_ssize_t len;
     Py_ssize_t cap;
 } EngineCore;
-
-/* Cancellable handle returned by schedule(); the C-side twin of the
- * pure-Python Event view.  Owns its own references to the callback and
- * inline args (they stay readable after the event fires) and doubles
- * as the heap entry's cancellation guard via the `dead` flag. */
-typedef struct {
-    PyObject_HEAD
-    PyObject *engine;   /* EngineCore that queued the event */
-    PyObject *cb;
-    PyObject *a0;
-    PyObject *a1;
-    Py_ssize_t nargs;   /* same encoding as Entry */
-    long long time;
-    char cancelled;     /* user-visible cancel() flag (sticky) */
-    char dead;          /* will not fire: cancelled or already consumed */
-} EventView;
-
-static PyTypeObject EventViewType; /* forward */
 
 static inline int
 entry_less(const Entry *a, const Entry *b)
@@ -82,8 +56,7 @@ entry_release(Entry *e)
     Py_XDECREF(e->cb);
     Py_XDECREF(e->a0);
     Py_XDECREF(e->a1);
-    Py_XDECREF(e->guard);
-    e->cb = e->a0 = e->a1 = e->guard = NULL;
+    e->cb = e->a0 = e->a1 = NULL;
 }
 
 /* Fire the entry's callback with its (inline or tuple) arguments. */
@@ -200,15 +173,14 @@ sift_down(Entry *heap, Py_ssize_t len, Py_ssize_t pos)
     heap[pos] = item;
 }
 
-/* Push an entry.  Steals references to a0/a1/guard; increfs cb. */
+/* Push an entry.  Steals references to a0/a1; increfs cb. */
 static int
 core_push(EngineCore *self, long long time, PyObject *cb, PyObject *a0,
-          PyObject *a1, Py_ssize_t nargs, PyObject *guard)
+          PyObject *a1, Py_ssize_t nargs)
 {
     if (heap_reserve(self) < 0) {
         Py_XDECREF(a0);
         Py_XDECREF(a1);
-        Py_XDECREF(guard);
         return -1;
     }
     Entry *e = &self->heap[self->len];
@@ -219,9 +191,7 @@ core_push(EngineCore *self, long long time, PyObject *cb, PyObject *a0,
     e->a0 = a0;
     e->a1 = a1;
     e->nargs = nargs;
-    e->guard = guard;
     sift_up(self->heap, self->len++);
-    self->live++;
     return 0;
 }
 
@@ -257,7 +227,7 @@ core_post(EngineCore *self, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t n;
     if (pack_args(args + 2, nargs - 2, &a0, &a1, &n) < 0)
         return NULL;
-    if (core_push(self, self->now + delay, args[1], a0, a1, n, NULL) < 0)
+    if (core_push(self, self->now + delay, args[1], a0, a1, n) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -283,97 +253,30 @@ core_post_at(EngineCore *self, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t n;
     if (pack_args(args + 2, nargs - 2, &a0, &a1, &n) < 0)
         return NULL;
-    if (core_push(self, time, args[1], a0, a1, n, NULL) < 0)
+    if (core_push(self, time, args[1], a0, a1, n) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
-/* schedule(delay, callback, *args) -> EventView.
- * Handle-bearing sibling of post(): one C call builds the heap entry
- * and the returned handle (the handle IS the cancellation guard), so
- * cancel-heavy churn allocates exactly one object per event. */
+/* _drain(budget) -> 0 (queue drained) | 1 (budget hit with work queued).
+ * The caller validates budget >= 0.  The executed count is folded into
+ * events_executed on every exit path so watchdog digests and callback
+ * exceptions always observe exact counters. */
 static PyObject *
-core_schedule(EngineCore *self, PyObject *const *args, Py_ssize_t nargs)
+core_drain(EngineCore *self, PyObject *arg)
 {
-    if (nargs < 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule(delay, callback, *args) takes at least 2 arguments");
-        return NULL;
-    }
-    long long delay = PyLong_AsLongLong(args[0]);
-    if (delay == -1 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "cannot schedule into the past (delay=%lld)", delay);
-        return NULL;
-    }
-    PyObject *a0, *a1;
-    Py_ssize_t n;
-    if (pack_args(args + 2, nargs - 2, &a0, &a1, &n) < 0)
-        return NULL;
-    EventView *ev = PyObject_GC_New(EventView, &EventViewType);
-    if (ev == NULL) {
-        Py_XDECREF(a0);
-        Py_XDECREF(a1);
-        return NULL;
-    }
-    Py_INCREF(self);
-    ev->engine = (PyObject *)self;
-    Py_INCREF(args[1]);
-    ev->cb = args[1];
-    Py_XINCREF(a0);
-    ev->a0 = a0;
-    Py_XINCREF(a1);
-    ev->a1 = a1;
-    ev->nargs = n;
-    ev->time = self->now + delay;
-    ev->cancelled = 0;
-    ev->dead = 0;
-    PyObject_GC_Track((PyObject *)ev);
-    Py_INCREF(ev); /* the heap entry's guard ref (stolen by core_push) */
-    if (core_push(self, ev->time, args[1], a0, a1, n,
-                  (PyObject *)ev) < 0) {
-        Py_DECREF(ev);
-        return NULL;
-    }
-    return (PyObject *)ev;
-}
-
-/* _drain(until, budget) -> 0 (drained or hit `until`) | 1 (budget hit).
- * until < 0 means unbounded; budget < 0 means unbounded.  The executed
- * count is folded into events_executed on every exit path so watchdog
- * digests and callback exceptions always observe exact counters. */
-static PyObject *
-core_drain(EngineCore *self, PyObject *args)
-{
-    long long until, budget;
-    if (!PyArg_ParseTuple(args, "LL:_drain", &until, &budget))
+    long long budget = PyLong_AsLongLong(arg);
+    if (budget == -1 && PyErr_Occurred())
         return NULL;
     long long executed = 0;
     while (self->len > 0) {
-        if (until >= 0 && self->heap[0].time > until) {
-            self->now = until;
-            break;
-        }
-        if (budget >= 0 && executed >= budget) {
+        if (executed >= budget) {
             self->events_executed += executed;
             return PyLong_FromLong(1);
         }
         Entry e;
         core_pop(self, &e);
-        if (e.guard != NULL) {
-            EventView *ev = (EventView *)e.guard;
-            if (ev->dead) {
-                entry_release(&e); /* cancelled: skip silently */
-                continue;
-            }
-            /* Consume-mark before the call so a reentrant cancel of
-             * the firing event cannot double-decrement `live`. */
-            ev->dead = 1;
-        }
         self->now = e.time;
-        self->live--;
         PyObject *res = entry_call(&e);
         entry_release(&e);
         if (res == NULL) {
@@ -387,22 +290,10 @@ core_drain(EngineCore *self, PyObject *args)
     return PyLong_FromLong(0);
 }
 
-/* _peek_time() -> time of the next queued event (queue must be non-empty). */
+/* _pop() -> (time, cb, args) of the next event, advancing `now` like
+ * _drain; used by the Python-level sampled run loop. */
 static PyObject *
-core_peek_time(EngineCore *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->len == 0) {
-        PyErr_SetString(PyExc_IndexError, "peek on an empty event queue");
-        return NULL;
-    }
-    return PyLong_FromLongLong(self->heap[0].time);
-}
-
-/* _pop_live() -> None (popped a cancelled event) | (time, cb, args).
- * Advances `now` and consume-marks the guard exactly like _drain; used
- * by the Python-level sampled run loop. */
-static PyObject *
-core_pop_live(EngineCore *self, PyObject *Py_UNUSED(ignored))
+core_pop_next(EngineCore *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->len == 0) {
         PyErr_SetString(PyExc_IndexError, "pop on an empty event queue");
@@ -410,44 +301,16 @@ core_pop_live(EngineCore *self, PyObject *Py_UNUSED(ignored))
     }
     Entry e;
     core_pop(self, &e);
-    if (e.guard != NULL) {
-        EventView *ev = (EventView *)e.guard;
-        if (ev->dead) {
-            entry_release(&e);
-            Py_RETURN_NONE;
-        }
-        ev->dead = 1;
-    }
     self->now = e.time;
-    self->live--;
     PyObject *tup = args_as_tuple(e.a0, e.a1, e.nargs);
-    if (tup == NULL) {
-        entry_release(&e);
-        return NULL;
-    }
-    PyObject *t = PyLong_FromLongLong(e.time);
-    if (t == NULL) {
-        Py_DECREF(tup);
-        entry_release(&e);
-        return NULL;
-    }
-    PyObject *out = PyTuple_New(3);
-    if (out == NULL) {
-        Py_DECREF(t);
-        Py_DECREF(tup);
-        entry_release(&e);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(out, 0, t);
-    Py_INCREF(e.cb);
-    PyTuple_SET_ITEM(out, 1, e.cb);
-    PyTuple_SET_ITEM(out, 2, tup);
+    PyObject *out = (tup == NULL ? NULL
+                     : Py_BuildValue("(LON)", e.time, e.cb, tup));
     entry_release(&e);
     return out;
 }
 
-/* _items() -> [(time, seq, callback, live), ...] in heap-array order;
- * the stall digest sorts by (time, seq) itself.  Cold path. */
+/* _items() -> [(time, seq, callback), ...] in heap-array order; the
+ * stall digest orders by (time, seq) itself.  Cold path. */
 static PyObject *
 core_items(EngineCore *self, PyObject *Py_UNUSED(ignored))
 {
@@ -456,10 +319,7 @@ core_items(EngineCore *self, PyObject *Py_UNUSED(ignored))
         return NULL;
     for (Py_ssize_t i = 0; i < self->len; i++) {
         Entry *e = &self->heap[i];
-        int alive = (e->guard == NULL
-                     || !((EventView *)e->guard)->dead);
-        PyObject *item = Py_BuildValue("(LLON)", e->time, e->seq, e->cb,
-                                       PyBool_FromLong(alive));
+        PyObject *item = Py_BuildValue("(LLO)", e->time, e->seq, e->cb);
         if (item == NULL) {
             Py_DECREF(out);
             return NULL;
@@ -475,12 +335,6 @@ core_pending(EngineCore *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromSsize_t(self->len);
 }
 
-static PyObject *
-core_pending_live(EngineCore *self, PyObject *Py_UNUSED(ignored))
-{
-    return PyLong_FromLongLong(self->live);
-}
-
 static int
 core_traverse(EngineCore *self, visitproc visit, void *arg)
 {
@@ -488,7 +342,6 @@ core_traverse(EngineCore *self, visitproc visit, void *arg)
         Py_VISIT(self->heap[i].cb);
         Py_VISIT(self->heap[i].a0);
         Py_VISIT(self->heap[i].a1);
-        Py_VISIT(self->heap[i].guard);
     }
     return 0;
 }
@@ -513,119 +366,22 @@ core_dealloc(EngineCore *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static PyObject *
-event_cancel(EventView *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->cancelled)
-        Py_RETURN_NONE; /* idempotent */
-    self->cancelled = 1;
-    if (!self->dead) {
-        self->dead = 1;
-        ((EngineCore *)self->engine)->live--;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-event_get_cancelled(EventView *self, void *Py_UNUSED(closure))
-{
-    return PyBool_FromLong(self->cancelled);
-}
-
-static PyObject *
-event_get_args(EventView *self, void *Py_UNUSED(closure))
-{
-    return args_as_tuple(self->a0, self->a1, self->nargs);
-}
-
-static int
-event_traverse(EventView *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->engine);
-    Py_VISIT(self->cb);
-    Py_VISIT(self->a0);
-    Py_VISIT(self->a1);
-    return 0;
-}
-
-static int
-event_clear(EventView *self)
-{
-    Py_CLEAR(self->engine);
-    Py_CLEAR(self->cb);
-    Py_CLEAR(self->a0);
-    Py_CLEAR(self->a1);
-    return 0;
-}
-
-static void
-event_dealloc(EventView *self)
-{
-    PyObject_GC_UnTrack(self);
-    event_clear(self);
-    PyObject_GC_Del(self);
-}
-
-static PyMethodDef event_methods[] = {
-    {"cancel", (PyCFunction)event_cancel, METH_NOARGS,
-     "Mark the event so the engine skips it when its tick drains."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyMemberDef event_members[] = {
-    {"time", T_LONGLONG, offsetof(EventView, time), READONLY,
-     "Absolute tick the event fires at."},
-    {"callback", T_OBJECT_EX, offsetof(EventView, cb), READONLY,
-     "The scheduled callable (readable even after the event fires)."},
-    {NULL, 0, 0, 0, NULL},
-};
-
-static PyGetSetDef event_getset[] = {
-    {"cancelled", (getter)event_get_cancelled, NULL,
-     "True once cancel() has been called (even post-fire).", NULL},
-    {"args", (getter)event_get_args, NULL,
-     "Positional arguments the callback will receive.", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PyTypeObject EventViewType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "_repro_engine_core.EventView",
-    .tp_basicsize = sizeof(EventView),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Cancellable handle over an event queued in the C core.",
-    .tp_dealloc = (destructor)event_dealloc,
-    .tp_traverse = (traverseproc)event_traverse,
-    .tp_clear = (inquiry)event_clear,
-    .tp_methods = event_methods,
-    .tp_members = event_members,
-    .tp_getset = event_getset,
-};
-
 static PyMethodDef core_methods[] = {
     {"post", (PyCFunction)(void (*)(void))core_post, METH_FASTCALL,
      "post(delay, callback, *args)\n--\n\n"
-     "Schedule callback(*args) in `delay` ticks; no handle (hot path)."},
+     "Schedule callback(*args) in `delay` ticks."},
     {"post_at", (PyCFunction)(void (*)(void))core_post_at, METH_FASTCALL,
      "post_at(time, callback, *args)\n--\n\n"
-     "Schedule callback(*args) at absolute tick `time`; no handle."},
-    {"schedule", (PyCFunction)(void (*)(void))core_schedule, METH_FASTCALL,
-     "schedule(delay, callback, *args) -> EventView\n--\n\n"
-     "Schedule callback(*args) in `delay` ticks; returns a cancellable\n"
-     "handle with the same facade contract as the pure-Python Event."},
-    {"_drain", (PyCFunction)core_drain, METH_VARARGS,
-     "_drain(until, budget) -> status\n--\n\n"
-     "Run the event loop; 0 = drained/until, 1 = budget exhausted."},
-    {"_peek_time", (PyCFunction)core_peek_time, METH_NOARGS,
-     "Time of the next queued event."},
-    {"_pop_live", (PyCFunction)core_pop_live, METH_NOARGS,
-     "Pop one event; None if it was cancelled, else (time, cb, args)."},
+     "Schedule callback(*args) at absolute tick `time`."},
+    {"_drain", (PyCFunction)core_drain, METH_O,
+     "_drain(budget) -> status\n--\n\n"
+     "Run the event loop; 0 = drained, 1 = budget exhausted."},
+    {"_pop", (PyCFunction)core_pop_next, METH_NOARGS,
+     "Pop the next event as (time, cb, args), advancing now."},
     {"_items", (PyCFunction)core_items, METH_NOARGS,
-     "Snapshot of queued events as (time, seq, callback, live) tuples."},
+     "Snapshot of queued events as (time, seq, callback) tuples."},
     {"pending", (PyCFunction)core_pending, METH_NOARGS,
-     "Number of events still in the queue (including cancelled)."},
-    {"pending_live", (PyCFunction)core_pending_live, METH_NOARGS,
-     "Number of queued events that will actually fire (O(1))."},
+     "Number of events still in the queue."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -664,8 +420,6 @@ PyInit__repro_engine_core(void)
 {
     if (PyType_Ready(&EngineCoreType) < 0)
         return NULL;
-    if (PyType_Ready(&EventViewType) < 0)
-        return NULL;
     PyObject *mod = PyModule_Create(&coremodule);
     if (mod == NULL)
         return NULL;
@@ -673,13 +427,6 @@ PyInit__repro_engine_core(void)
     if (PyModule_AddObject(mod, "EngineCore",
                            (PyObject *)&EngineCoreType) < 0) {
         Py_DECREF(&EngineCoreType);
-        Py_DECREF(mod);
-        return NULL;
-    }
-    Py_INCREF(&EventViewType);
-    if (PyModule_AddObject(mod, "EventView",
-                           (PyObject *)&EventViewType) < 0) {
-        Py_DECREF(&EventViewType);
         Py_DECREF(mod);
         return NULL;
     }

@@ -6,16 +6,14 @@ nanosecond-scale link latencies (see :class:`repro.sim.config.SystemConfig`).
 
 Three interchangeable engine backends implement the same contract --
 events ordered by ``(time, insertion order)``, FIFO among same-tick
-events, lazy cancellation -- and produce bit-identical simulations:
+events -- and produce bit-identical simulations:
 
 - :class:`BatchedEngine` (the default, ``REPRO_ENGINE=python``): a
-  slotted calendar queue.  Events live in per-tick buckets (records in
-  flat ``[callback, args]`` / ``(callback, args)`` cells); the heap
-  orders only the *distinct pending ticks* (plain ints, so heap
-  comparisons never touch Python objects), and ``run()`` drains each
-  tick's bucket in one inner loop with the ``until`` check hoisted per
-  batch.  Steady-state scheduling allocates one record cell and nothing
-  else -- no per-event handle object unless the caller asks for one.
+  slotted calendar queue.  Events live in per-tick buckets as
+  ``(callback, args)`` tuples; the heap orders only the *distinct
+  pending ticks* (plain ints, so heap comparisons never touch Python
+  objects), and ``run()`` drains each tick's bucket in one inner loop.
+  Steady-state scheduling allocates one record tuple and nothing else.
 - :class:`CompiledEngine` (``REPRO_ENGINE=compiled``): the same
   contract implemented by a C extension (``repro.sim._engine_core``)
   built on demand with the system C compiler; automatically falls back
@@ -25,18 +23,15 @@ events, lazy cancellation -- and produce bit-identical simulations:
   object-at-a-time heapq loop, kept as the benchmark baseline and as a
   parity reference (``tests/test_engine_parity.py``).
 
-``Engine`` is bound to the selected backend at import time; the
-facade contract (``schedule``/``post``/``run``/``pending_live``/
-``stall_digest`` and the :class:`Event` handle semantics) is identical
-across backends -- see ``docs/PERFORMANCE.md``.
-
-**The facade contract for handles:** ``schedule()`` returns an
-:class:`Event` view over the queued record.  ``event.cancel()`` is
-idempotent, O(1), and only suppresses the callback if it has not fired
-yet; ``event.cancelled`` reports whether *cancel was called*, never
-whether the event fired.  ``post()`` is the allocation-lean hot-path
-spelling used by the simulator's own components: identical scheduling
-semantics, but no handle is created and the event cannot be cancelled.
+``Engine`` is bound to the selected backend at import time.  The
+contract is the same on every backend: ``post(delay, cb, *args)`` and
+``post_at(time, cb, *args)`` schedule (a negative delay or a past time
+raises ``ValueError``); ``run(max_events=None)`` drains the queue,
+raising :class:`SimulationLimitError` with :meth:`stall_digest` text
+once ``max_events`` events have run and work is still queued;
+``pending()``, ``now``, ``events_executed``, ``backend`` and the
+``sampler``/``span_recorder`` observability attachments.  Events
+cannot be cancelled.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -47,7 +42,8 @@ import os
 import sys
 import time as _time_mod
 import warnings
-from typing import Any, Callable
+from collections import Counter
+from typing import Any, Callable, Iterable
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -73,49 +69,47 @@ class SimulationDeadlockError(RuntimeError):
     """Raised when the event queue drains while work is still outstanding."""
 
 
-class Event:
-    """A cancellable handle over one scheduled callback.
+def _run_budget(max_events: int | None) -> int:
+    """The event budget of one ``run(max_events)`` call."""
+    if max_events is None:
+        return _UNBOUNDED
+    if max_events < 0:
+        raise ValueError(f"max_events must be >= 0 (got {max_events})")
+    return max_events
 
-    The handle is a lightweight view over the engine's queued record:
-    it holds the record cell (``[callback, args]``) plus the absolute
-    ``time``, and cancellation flips the record's callback to ``None``
-    so the drain loop skips it -- O(1), no queue surgery.
+
+def format_stall_digest(engine, max_events: int | None,
+                        queued: Iterable[tuple[int, int, Callable]]) -> str:
+    """Multi-line diagnosis of a stalled/livelocked run.
+
+    ``queued`` yields one ``(time, order, callback)`` per queued event,
+    where ``order`` breaks ties between same-tick events in firing
+    order.  The first line reports the event budget, time and queue
+    depth; the rest breaks the queue down by callback, names the oldest
+    queued event, and -- when a span recorder is attached -- lists the
+    oldest in-flight spans, which usually point straight at the stuck
+    transaction.  Built only on the stall branch: a clean run never
+    calls this.
     """
-
-    __slots__ = ("_engine", "_record", "time", "_cancelled")
-
-    def __init__(self, engine: "BatchedEngine", time: int, record: list) -> None:
-        self._engine = engine
-        self._record = record
-        self.time = time
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called (even post-fire)."""
-        return self._cancelled
-
-    @property
-    def callback(self):
-        rec = self._record
-        return rec[2] if rec[0] is None else rec[0]
-
-    @property
-    def args(self) -> tuple:
-        return self._record[1]
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when its tick drains."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        record = self._record
-        if record[0] is not None:
-            # Still pending: neutralize the record and keep the live
-            # counter exact.  A fired record was already neutralized by
-            # the drain loop, so a late cancel is a no-op here.
-            record[0] = None
-            self._engine._cancelled_valid += 1
+    queued = list(queued)
+    lines = [
+        f"exceeded {max_events} events at t={engine.now} "
+        f"({len(queued)} pending); likely livelock or deadlock retry storm"
+    ]
+    if queued:
+        counts = Counter(_callback_name(callback)
+                         for _t, _order, callback in queued)
+        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+        lines.append("top pending callbacks: "
+                     + ", ".join(f"{name} x{count}" for name, count in top))
+        t, _order, callback = min(queued, key=lambda item: item[:2])
+        lines.append(f"oldest queued: {_callback_name(callback)} "
+                     f"scheduled for t={t} (age {max(engine.now - t, 0)} ticks)")
+    if engine.span_recorder is not None:
+        stale = engine.span_recorder.oldest_open(3)
+        if stale:
+            lines.append("oldest in-flight spans: " + "; ".join(stale))
+    return "\n".join(lines)
 
 
 class BatchedEngine:
@@ -123,12 +117,9 @@ class BatchedEngine:
 
     ``_buckets`` maps an absolute tick to either a single ``(callback,
     args)`` tuple (the common sparse case: one event on that tick) or a
-    list of record cells in insertion order.  ``_ticks`` is a heap of
+    list of such tuples in insertion order.  ``_ticks`` is a heap of
     the distinct pending tick values, so every heap operation compares
-    plain ints.  Records created by :meth:`schedule` are 3-slot lists
-    ``[callback, args, args_backup]`` so a handle can cancel them (and
-    still report callback/args afterwards); records created by
-    :meth:`post` are immutable tuples with no handle overhead.
+    plain ints.
     """
 
     backend = "python"
@@ -138,9 +129,6 @@ class BatchedEngine:
         self._buckets: dict = {}
         self._ticks: list[int] = []
         self.events_executed: int = 0
-        self._posted: int = 0
-        self._cancelled_valid: int = 0
-        self._running = False
         # Observability attachments (repro.obs); None keeps the hot run
         # loop untouched -- run() checks them exactly once per call.
         self.sampler = None
@@ -148,12 +136,7 @@ class BatchedEngine:
 
     # -- scheduling ----------------------------------------------------
     def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` in ``delay`` ticks; no handle.
-
-        The allocation-lean hot path: semantics identical to
-        :meth:`schedule` but nothing is returned, so the event cannot
-        be cancelled.  This is what the simulator's own components use.
-        """
+        """Schedule ``callback(*args)`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         t = self.now + delay
@@ -166,10 +149,9 @@ class BatchedEngine:
             bucket.append((callback, args))
         else:
             buckets[t] = [bucket, (callback, args)]
-        self._posted += 1
 
     def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule at absolute tick ``time``; no handle (hot path)."""
+        """Schedule ``callback(*args)`` at absolute tick ``time``."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule into the past (t={time} < now={self.now})")
@@ -182,91 +164,49 @@ class BatchedEngine:
             bucket.append((callback, args))
         else:
             buckets[time] = [bucket, (callback, args)]
-        self._posted += 1
-
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` ticks from now.
-
-        Returns the :class:`Event`, which may be cancelled before it fires.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        t = self.now + delay
-        record = [callback, args, callback]
-        buckets = self._buckets
-        bucket = buckets.get(t)
-        if bucket is None:
-            # Handle-bearing records always live in a list bucket so a
-            # 3-slot record cell is never mistaken for a bucket.
-            buckets[t] = [record]
-            _heappush(self._ticks, t)
-        elif bucket.__class__ is list:
-            bucket.append(record)
-        else:
-            buckets[t] = [bucket, record]
-        self._posted += 1
-        return Event(self, t, record)
-
-    def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute tick ``time``."""
-        return self.schedule(time - self.now, callback, *args)
 
     # -- introspection -------------------------------------------------
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled)."""
+        """Number of events still in the queue."""
         return sum(len(b) if b.__class__ is list else 1
                    for b in self._buckets.values())
 
-    def pending_live(self) -> int:
-        """Number of queued events that will actually fire (not cancelled).
-
-        O(1): maintained from the posted / executed / cancelled
-        counters instead of scanning the queue -- the watchdog digest
-        calls this exactly when the queue is huge.
-        """
-        return self._posted - self.events_executed - self._cancelled_valid
-
     # -- the run loop --------------------------------------------------
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        """Run until the queue drains, ``until`` ticks pass, or ``max_events``.
+    def run(self, max_events: int | None = None) -> int:
+        """Run until the queue drains or ``max_events`` events have run.
 
-        Returns the current simulation time when the run stops.  A
+        Returns the current simulation time when the run stops.  The
         ``max_events`` bound is the engine-level watchdog used by the
         verification harness to convert protocol deadlocks into test
         failures instead of hangs.
 
         This is the simulator's hottest loop.  The outer loop pops one
-        *tick* (a plain int) per iteration and hoists the ``until``
-        check per batch; the inner loop drains that tick's bucket --
-        including records appended to it by the callbacks themselves --
-        with nothing but record loads, one budget compare and the
-        callback call per event.  Single-event ticks skip the inner
-        loop entirely.  See ``benchmarks/test_engine_core.py`` and
-        ``docs/PERFORMANCE.md`` for measured throughput.
+        *tick* (a plain int) per iteration; the inner loop drains that
+        tick's bucket -- including records appended to it by the
+        callbacks themselves -- with nothing but record loads, one
+        budget compare and the callback call per event.  Single-event
+        ticks skip the inner loop entirely.  See
+        ``benchmarks/test_engine_core.py`` and ``docs/PERFORMANCE.md``
+        for measured throughput.
         """
+        budget = _run_budget(max_events)
         if self.sampler is not None:
-            return self._run_sampled(until, max_events)
-        self._running = True
+            return self._run_sampled(max_events, budget)
         gc_enabled = _gc.isenabled()
         if gc_enabled:
             _gc.disable()
         ticks = self._ticks
         buckets = self._buckets
         heappop = _heappop
-        budget = max_events if max_events is not None else _UNBOUNDED
         executed = 0
         try:
             while ticks:
-                t = ticks[0]
-                if until is not None and t > until:
-                    self.now = until
-                    break
-                heappop(ticks)
+                t = heappop(ticks)
                 batch = buckets[t]
                 if batch.__class__ is not list:
-                    # Sparse fast path: exactly one (immutable) record
-                    # on this tick.  The bucket is removed before the
-                    # call so a same-tick reschedule starts cleanly.
+                    # Sparse fast path: exactly one record on this
+                    # tick.  The bucket is removed before the call so
+                    # a same-tick reschedule starts cleanly.
                     if executed >= budget:
                         _heappush(ticks, t)
                         executed = self._fold(executed)
@@ -279,25 +219,13 @@ class BatchedEngine:
                 record = None
                 try:
                     for record in batch:
-                        # Budget check first, even for cancelled
-                        # records: the legacy watchdog raises whenever
-                        # the queue is non-empty at the budget, live or
-                        # not, and backends must agree exactly.
                         if executed >= budget:
                             self._requeue_from(batch, t, record, consumed=False)
                             executed = self._fold(executed)
                             raise SimulationLimitError(
                                 self.stall_digest(max_events))
-                        cb = record[0]
-                        if cb is None:
-                            continue
-                        if record.__class__ is list:
-                            # Neutralize handle records *before* the
-                            # call so a reentrant cancel of the firing
-                            # event cannot skew the live counter.
-                            record[0] = None
                         self.now = t
-                        cb(*record[1])
+                        record[0](*record[1])
                         executed += 1
                 except SimulationLimitError:
                     raise
@@ -308,13 +236,12 @@ class BatchedEngine:
                     raise
                 del buckets[t]
         finally:
-            self._running = False
             self.events_executed += executed
             if gc_enabled:
                 _gc.enable()
         return self.now
 
-    def _run_sampled(self, until: int | None, max_events: int | None) -> int:
+    def _run_sampled(self, max_events: int | None, budget: int) -> int:
         """Instrumented run loop used when an ``EngineSampler`` is attached.
 
         Times every callback with ``perf_counter`` and subsamples queue
@@ -326,22 +253,16 @@ class BatchedEngine:
         sampler = self.sampler
         perf = _time_mod.perf_counter
         every = sampler.sample_every
-        self._running = True
         gc_enabled = _gc.isenabled()
         if gc_enabled:
             _gc.disable()
         ticks = self._ticks
         buckets = self._buckets
         heappop = _heappop
-        budget = max_events if max_events is not None else _UNBOUNDED
         executed = 0
         try:
             while ticks:
-                t = ticks[0]
-                if until is not None and t > until:
-                    self.now = until
-                    break
-                heappop(ticks)
+                t = heappop(ticks)
                 batch = buckets[t]
                 if batch.__class__ is not list:
                     # Normalize so the loop below (and any same-tick
@@ -357,10 +278,6 @@ class BatchedEngine:
                             raise SimulationLimitError(
                                 self.stall_digest(max_events))
                         cb = record[0]
-                        if cb is None:
-                            continue
-                        if record.__class__ is list:
-                            record[0] = None
                         self.now = t
                         t0 = perf()
                         cb(*record[1])
@@ -375,7 +292,6 @@ class BatchedEngine:
                     raise
                 del buckets[t]
         finally:
-            self._running = False
             self.events_executed += executed
             if gc_enabled:
                 _gc.enable()
@@ -409,61 +325,22 @@ class BatchedEngine:
             self._buckets.pop(t, None)
 
     # -- diagnostics ---------------------------------------------------
-    def _queued_records(self):
-        """Yield ``(time, record)`` for every queued record, bucket order."""
-        for t, bucket in self._buckets.items():
-            if bucket.__class__ is list:
-                for record in bucket:
-                    yield t, record
-            else:
-                yield t, bucket
-
     def stall_digest(self, max_events: int | None = None) -> str:
-        """Multi-line diagnosis of a stalled/livelocked run.
+        """Multi-line diagnosis of a stalled run (:func:`format_stall_digest`)."""
+        def queued():
+            order = 0
+            for t, bucket in self._buckets.items():
+                for record in bucket if bucket.__class__ is list else (bucket,):
+                    yield t, order, record[0]
+                    order += 1
 
-        The first line keeps the historical watchdog format (event
-        budget, time, queue depth); the rest breaks the live queue down
-        by callback, names the oldest queued event, and -- when a span
-        recorder is attached -- lists the oldest in-flight spans, which
-        usually point straight at the stuck transaction.  Assembled
-        only on the stall branch: a clean run never calls this.
-        """
-        pending = 0
-        live: list[tuple[int, int, Callable]] = []
-        order = 0
-        for t, record in self._queued_records():
-            pending += 1
-            if record[0] is not None:
-                live.append((t, order, record[0]))
-            order += 1
-        lines = [
-            f"exceeded {max_events} events at t={self.now} "
-            f"({pending} pending, {len(live)} live); "
-            "likely livelock or deadlock retry storm"
-        ]
-        if live:
-            counts: dict[str, int] = {}
-            for _t, _order, callback in live:
-                name = _callback_name(callback)
-                counts[name] = counts.get(name, 0) + 1
-            top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-            lines.append("top pending callbacks: "
-                         + ", ".join(f"{name} x{count}" for name, count in top))
-            oldest = min(live, key=lambda item: (item[0], item[1]))
-            age = self.now - oldest[0]
-            lines.append(f"oldest queued: {_callback_name(oldest[2])} "
-                         f"scheduled for t={oldest[0]} (age {max(age, 0)} ticks)")
-        if self.span_recorder is not None:
-            stale = self.span_recorder.oldest_open(3)
-            if stale:
-                lines.append("oldest in-flight spans: " + "; ".join(stale))
-        return "\n".join(lines)
+        return format_stall_digest(self, max_events, queued())
 
 
 class LegacyEvent:
     """A scheduled callback (legacy object-per-event engine)."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "seq", "callback", "args")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., None],
                  args: tuple = ()) -> None:
@@ -471,17 +348,12 @@ class LegacyEvent:
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self.cancelled = True
 
 
 class LegacyEngine:
     """The original object-at-a-time heapq engine (pre-batched core).
 
-    Kept verbatim as the performance baseline for
+    Kept as the performance baseline for
     ``benchmarks/test_engine_core.py`` and as the behavioral reference
     for ``tests/test_engine_parity.py``; selectable for real runs with
     ``REPRO_ENGINE=legacy``.
@@ -494,48 +366,36 @@ class LegacyEngine:
         self._queue: list = []
         self._seq: int = 0
         self.events_executed: int = 0
-        self._running = False
         self.sampler = None
         self.span_recorder = None
 
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> LegacyEvent:
+    def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
-        event = LegacyEvent(self.now + delay, seq, callback, args)
-        _heappush(self._queue, (event.time, seq, event))
+        time = self.now + delay
+        _heappush(self._queue, (time, seq, LegacyEvent(time, seq, callback, args)))
         self._seq = seq + 1
-        return event
-
-    def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> LegacyEvent:
-        """Schedule ``callback(*args)`` at absolute tick ``time``."""
-        return self.schedule(time - self.now, callback, *args)
-
-    # The hot-path spellings resolve to plain scheduling here, so the
-    # legacy engine stays a drop-in backend for parity runs.
-    def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` in ``delay`` ticks, discarding the handle."""
-        self.schedule(delay, callback, *args)
 
     def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule at absolute tick ``time``, discarding the handle."""
-        self.schedule(time - self.now, callback, *args)
+        """Schedule ``callback(*args)`` at absolute tick ``time``."""
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule into the past (t={time} < now={self.now})")
+        seq = self._seq
+        _heappush(self._queue, (time, seq, LegacyEvent(time, seq, callback, args)))
+        self._seq = seq + 1
 
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled)."""
+        """Number of events still in the queue."""
         return len(self._queue)
 
-    def pending_live(self) -> int:
-        """Number of queued events that will actually fire (O(n) scan)."""
-        return sum(1 for _time, _seq, event in self._queue
-                   if not event.cancelled)
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        """Run until the queue drains, ``until`` ticks pass, or ``max_events``."""
+    def run(self, max_events: int | None = None) -> int:
+        """Run until the queue drains or ``max_events`` events have run."""
+        budget = _run_budget(max_events)
         if self.sampler is not None:
-            return self._run_sampled(until, max_events)
-        self._running = True
+            return self._run_sampled(max_events, budget)
         gc_enabled = _gc.isenabled()
         if gc_enabled:
             _gc.disable()
@@ -544,31 +404,24 @@ class LegacyEngine:
         heappop = _heappop
         try:
             while queue:
-                if until is not None and queue[0][0] > until:
-                    self.now = until
-                    break
-                if max_events is not None and executed >= max_events:
+                if executed >= budget:
                     self.events_executed += executed
                     executed = 0
                     raise SimulationLimitError(self.stall_digest(max_events))
                 time, _seq, event = heappop(queue)
-                if event.cancelled:
-                    continue
                 self.now = time
                 event.callback(*event.args)
                 executed += 1
         finally:
-            self._running = False
             self.events_executed += executed
             if gc_enabled:
                 _gc.enable()
         return self.now
 
-    def _run_sampled(self, until: int | None, max_events: int | None) -> int:
+    def _run_sampled(self, max_events: int | None, budget: int) -> int:
         sampler = self.sampler
         perf = _time_mod.perf_counter
         every = sampler.sample_every
-        self._running = True
         gc_enabled = _gc.isenabled()
         if gc_enabled:
             _gc.disable()
@@ -577,16 +430,11 @@ class LegacyEngine:
         heappop = _heappop
         try:
             while queue:
-                if until is not None and queue[0][0] > until:
-                    self.now = until
-                    break
-                if max_events is not None and executed >= max_events:
+                if executed >= budget:
                     self.events_executed += executed
                     executed = 0
                     raise SimulationLimitError(self.stall_digest(max_events))
                 time, _seq, event = heappop(queue)
-                if event.cancelled:
-                    continue
                 self.now = time
                 t0 = perf()
                 event.callback(*event.args)
@@ -595,38 +443,16 @@ class LegacyEngine:
                 sampler.record(_callback_name(event.callback), elapsed, depth)
                 executed += 1
         finally:
-            self._running = False
             self.events_executed += executed
             if gc_enabled:
                 _gc.enable()
         return self.now
 
     def stall_digest(self, max_events: int | None = None) -> str:
-        """Multi-line diagnosis of a stalled/livelocked run."""
-        lines = [
-            f"exceeded {max_events} events at t={self.now} "
-            f"({self.pending()} pending, {self.pending_live()} live); "
-            "likely livelock or deadlock retry storm"
-        ]
-        live = [(time, seq, event) for time, seq, event in self._queue
-                if not event.cancelled]
-        if live:
-            counts: dict[str, int] = {}
-            for _time, _seq, event in live:
-                name = _callback_name(event.callback)
-                counts[name] = counts.get(name, 0) + 1
-            top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-            lines.append("top pending callbacks: "
-                         + ", ".join(f"{name} x{count}" for name, count in top))
-            oldest = min(live, key=lambda item: (item[0], item[1]))
-            age = self.now - oldest[0]
-            lines.append(f"oldest queued: {_callback_name(oldest[2].callback)} "
-                         f"scheduled for t={oldest[0]} (age {max(age, 0)} ticks)")
-        if self.span_recorder is not None:
-            stale = self.span_recorder.oldest_open(3)
-            if stale:
-                lines.append("oldest in-flight spans: " + "; ".join(stale))
-        return "\n".join(lines)
+        """Multi-line diagnosis of a stalled run (:func:`format_stall_digest`)."""
+        return format_stall_digest(
+            self, max_events,
+            ((time, seq, event.callback) for time, seq, event in self._queue))
 
 
 def load_compiled_engine_class(build: bool = True):

@@ -3,8 +3,8 @@
 The three ``REPRO_ENGINE`` backends must be *indistinguishable* to the
 simulator: same event order, same results bit for bit, same watchdog
 behavior, same observability rollups.  These tests drive each backend
-through the same scenarios -- randomized schedule/cancel scripts,
-real figure cells (Fig. 9 MCM pairings, Fig. 10 protocol combos), and
+through the same scenarios -- randomized post/post_at scripts stopped
+mid-run by the watchdog budget, real figure cells (Fig. 9 MCM pairings, Fig. 10 protocol combos), and
 the ``violate_atomicity`` audit path -- and require identical outcomes.
 
 The compiled backend is exercised only when the C core can actually be
@@ -50,7 +50,8 @@ def _run_script(engine_cls, seed: int):
     """Drive one backend through a deterministic random op script.
 
     Returns the full observable trace: per-event (time, label) firing
-    order, counter values, and pending counts after each run segment.
+    order, plus counters, pending counts and the stall digest after
+    each run segment that a ``max_events`` budget stops mid-flight.
     """
     rng = random.Random(seed)
     engine = engine_cls()
@@ -59,7 +60,6 @@ def _run_script(engine_cls, seed: int):
     def fire(label):
         trace.append((engine.now, label))
 
-    handles = []
     next_label = [0]
 
     def reschedule(label, fanout):
@@ -70,26 +70,25 @@ def _run_script(engine_cls, seed: int):
 
     for step in range(300):
         op = rng.random()
-        if op < 0.45:
+        if op < 0.60:
             engine.post(rng.randrange(0, 50), fire, f"p{step}")
-        elif op < 0.70:
-            handles.append(engine.schedule(rng.randrange(0, 50), fire,
-                                           f"s{step}"))
-        elif op < 0.80:
-            engine.schedule_at(engine.now + rng.randrange(0, 50), fire,
-                               f"a{step}")
-        elif op < 0.90 and handles:
-            handles.pop(rng.randrange(len(handles))).cancel()
+        elif op < 0.85:
+            engine.post_at(engine.now + rng.randrange(0, 50), fire,
+                           f"a{step}")
         else:
             engine.post(rng.randrange(0, 8), reschedule, f"c{step}",
                         rng.randrange(0, 3))
         if step % 60 == 59:
-            engine.run(until=engine.now + rng.randrange(0, 40))
+            try:
+                engine.run(max_events=rng.randrange(0, 40))
+                digest = None
+            except SimulationLimitError as err:
+                digest = str(err)
             trace.append(("segment", engine.now, engine.pending(),
-                          engine.pending_live(), engine.events_executed))
+                          engine.events_executed, digest))
     engine.run()
     trace.append(("final", engine.now, engine.pending(),
-                  engine.pending_live(), engine.events_executed))
+                  engine.events_executed))
     return trace
 
 
@@ -124,8 +123,21 @@ def test_watchdog_budget_counts_match_legacy(engine_cls):
         engine.run(max_events=500)
     assert engine.events_executed == reference.events_executed == 500
     assert engine.now == reference.now
-    assert engine.pending_live() == reference.pending_live()
+    assert engine.pending() == reference.pending()
     assert "exceeded 500 events" in str(err.value)
+
+
+@pytest.mark.parametrize("engine_cls", BACKEND_CLASSES, ids=BACKEND_IDS)
+def test_negative_max_events_rejected(engine_cls):
+    """A negative budget is a caller error on every backend, not "no
+    limit" on one and "stop at once" on the others."""
+    engine = engine_cls()
+    fired = []
+    engine.post(1, fired.append, "x")
+    with pytest.raises(ValueError):
+        engine.run(max_events=-1)
+    assert (fired, engine.now, engine.pending(), engine.events_executed) \
+        == ([], 0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +167,26 @@ def test_figure_cells_byte_identical_across_backends(monkeypatch, combo, mcms):
         assert blob == reference, (
             f"backend {name!r} produced a different RunResult for "
             f"{combo}/{mcms}")
+
+
+@pytest.mark.parametrize("engine_cls", BACKEND_CLASSES, ids=BACKEND_IDS)
+def test_sampled_run_matches_plain_run(monkeypatch, engine_cls):
+    """The sampled run loop (``EngineSampler`` attached) simulates
+    exactly what the plain loop does, and samples every event."""
+    from repro.harness.experiments import run_workload
+    from repro.obs import Observability
+
+    _with_engine(monkeypatch, engine_cls)
+    plain = _fig_cell(("MESI", "CXL", "MESI"), ("WEAK", "WEAK"))
+    obs = Observability(sample_engine=True)
+    result = run_workload("histogram", combo=("MESI", "CXL", "MESI"),
+                          mcms=("WEAK", "WEAK"), scale=0.25, seed=3,
+                          obs=obs)
+    del result.extra["obs"]  # wall-clock profile, differs run to run
+    assert pickle.dumps(result) == plain
+    engine = obs.system.engine
+    assert engine.events_executed > 0
+    assert obs.sampler.events == engine.events_executed
 
 
 def test_engine_facade_reports_selected_backend():

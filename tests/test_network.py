@@ -175,7 +175,7 @@ def test_send_many_missing_link_mid_batch_matches_sequential_sends(engine_cls):
 
     def observe(engine, network, sinks):
         state = (network.stats.messages, network.stats.bytes,
-                 engine.pending_live())
+                 engine.pending())
         engine.run()
         return state, {name: [(t, m.addr) for t, m in sink.received]
                        for name, sink in sinks.items()}

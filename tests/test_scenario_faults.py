@@ -25,7 +25,7 @@ from repro.protocols.messages import GETS, Message
 from repro.scenario.faults import FaultPlan, FaultRule, clone_message
 from repro.scenario.schema import FaultSpec, Scenario
 from repro.sim.config import two_cluster_config
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SimulationLimitError
 from repro.sim.network import Link, Network, Node
 from repro.sim.system import build_system
 
@@ -378,7 +378,9 @@ def test_park_marks_pending_ops_done():
     core.run_program(ThreadProgram("t", [store(0x1, 1), load(0x2, "r"),
                                          load(0x3, "s")]),
                      done.append)
-    engine.run(until=500)   # first ops in flight, rest pending
+    with pytest.raises(SimulationLimitError):
+        engine.run(max_events=2)   # first ops in flight, rest pending
+    assert engine.pending() == 2
     core.park()
     engine.run()
     assert done, "parked core must still reach its finish callback"
