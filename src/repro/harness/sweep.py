@@ -3,19 +3,16 @@
 Every paper figure is a sweep over independent simulation cells --
 (workload x protocol combo x MCM x seed) -- that share no state: each
 cell builds its own :class:`~repro.sim.system.System` from a config and
-a seed.  :class:`SweepRunner` fans those cells out over an execution
-*backend* while keeping the *results* keyed by cell, so any backend's
-sweep is bit-identical to the serial one regardless of completion
-order.
+a seed.  :class:`SweepRunner` fans those cells out over a local
+``multiprocessing`` pool (or runs them in-process) while keeping the
+*results* keyed by cell, so a parallel sweep is bit-identical to the
+serial one regardless of completion order.
 
-Backends (see :mod:`repro.harness.dist` and ``docs/DISTRIBUTED.md``):
+Two execution paths, chosen by ``backend=``:
 
-- the default local process pool (``jobs`` workers, this machine),
-- ``backend="serial"`` -- the plain in-process loop,
-- ``backend="queue[:N]"`` -- a fault-tolerant TCP work queue with N
-  spawned loopback workers (or externally launched
-  ``python -m repro worker --connect host:port`` processes),
-- ``backend="ssh:hosts.toml"`` -- an SSH-bootstrapped remote fleet.
+- ``"local"`` (the default) -- a process pool of ``jobs`` workers on
+  this machine, with the serial fallbacks below;
+- ``"serial"`` -- the plain in-process loop, whatever ``jobs`` says.
 
 Design constraints (and how they are met):
 
@@ -26,7 +23,7 @@ Design constraints (and how they are met):
 - **Determinism.**  Results are stored by cell key (never by completion
   order) and every cell carries its own seed, so
   ``SweepRunner(jobs=N).map(cells) == SweepRunner(jobs=1).map(cells)``
-  for any ``N`` -- and equally for the queue backend.
+  for any ``N``.
 - **Per-cell failure isolation.**  A cell exception is captured as a
   :class:`CellFailure` instead of aborting the batch mid-flight; after
   every cell resolved, the runner raises :class:`SweepCellError`
@@ -41,8 +38,7 @@ Knobs:
 - ``REPRO_JOBS`` (or the ``--jobs`` CLI flag / ``jobs=`` keyword):
   worker count; defaults to ``os.cpu_count()``; ``1`` forces the
   serial path.
-- ``REPRO_BACKEND`` (or ``--backend`` / ``backend=``): execution
-  backend spec; see :func:`repro.harness.dist.resolve_backend`.
+- ``--backend`` / ``backend=``: ``"serial"`` or ``"local"``.
 - ``REPRO_MP_START``: multiprocessing start method (``fork`` /
   ``spawn`` / ``forkserver``); defaults to the platform default.
 
@@ -53,12 +49,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 JOBS_ENV = "REPRO_JOBS"
 START_METHOD_ENV = "REPRO_MP_START"
+#: The ``backend=`` spellings: in-process loop, local process pool.
+BACKENDS = ("serial", "local")
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -98,44 +97,26 @@ class CellFailure:
     """The captured outcome of a cell that could not produce a result.
 
     Exceptions are flattened to strings (type name, message, formatted
-    traceback) so a failure crosses process and host boundaries exactly
-    like a result would.  ``kind`` distinguishes the failure path:
-    ``"error"`` (the cell raised), ``"timeout"`` (queue backend gave up
-    waiting) or ``"worker died"`` (orphaned past the retry budget).
-    ``attempts`` counts how many times the cell was tried in total.
-    ``flight`` is the victim worker's flight-recorder dump (a tuple of
-    plain event dicts, see :mod:`repro.obs.flight`) when the queue
-    backend had one -- the postmortem for cells whose worker raised,
-    timed out or was killed outright.
+    traceback) so a failure crosses the pool's process boundary exactly
+    like a result would.
     """
 
     exc_type: str
     message: str
     traceback: str = ""
-    kind: str = "error"
-    attempts: int = 1
-    flight: tuple = ()
 
     @classmethod
-    def from_exception(cls, exc: BaseException, kind: str = "error",
-                       attempts: int = 1) -> "CellFailure":
+    def from_exception(cls, exc: BaseException) -> "CellFailure":
         """Flatten a live exception into a portable failure record."""
         return cls(
             exc_type=type(exc).__name__,
             message=str(exc),
             traceback="".join(traceback_module.format_exception(
                 type(exc), exc, exc.__traceback__)),
-            kind=kind,
-            attempts=attempts,
         )
 
-    def retried(self, attempts: int) -> "CellFailure":
-        """Copy of this failure with the final attempt count stamped."""
-        return CellFailure(self.exc_type, self.message, self.traceback,
-                           self.kind, attempts, self.flight)
-
     def __str__(self) -> str:
-        return f"[{self.kind}] {self.exc_type}: {self.message}"
+        return f"{self.exc_type}: {self.message}"
 
 
 class SweepCellError(RuntimeError):
@@ -192,12 +173,12 @@ def split_metrics(results: Mapping[Hashable, Any]) -> tuple[dict, dict]:
 
 
 class SweepRunner:
-    """Fan independent sweep cells out over an execution backend.
+    """Fan independent sweep cells out over the local process pool.
 
     Results come back as ``{cell.key: fn(**kwargs)}`` in the order the
     cells were given, independent of which worker finished first -- the
-    property that keeps parallel (and distributed) figure regeneration
-    bit-identical to the serial path.
+    property that keeps parallel figure regeneration bit-identical to
+    the serial path.
     """
 
     def __init__(
@@ -207,10 +188,15 @@ class SweepRunner:
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
         progress: Callable[[int, int, Hashable, float], None] | None = None,
-        backend=None,
+        backend: str | None = None,
         capture_errors: bool = False,
     ) -> None:
+        if backend not in (None,) + BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; expected "
+                             f"{' or '.join(BACKENDS)}")
         self.jobs = resolve_jobs(jobs)
+        if backend == "serial":
+            self.jobs = 1
         self.start_method = (
             start_method
             or os.environ.get(START_METHOD_ENV, "").strip()
@@ -221,20 +207,10 @@ class SweepRunner:
         #: Optional callback ``progress(done, total, key, wall_seconds)``
         #: fired as each cell completes (in completion order).
         self.progress = progress
-        #: Execution backend: None for the built-in local pool, a spec
-        #: string (``"serial"``, ``"queue:2"``, ``"ssh:hosts.toml"``,
-        #: see :func:`repro.harness.dist.resolve_backend`) or a Backend
-        #: instance.  Defaults to the ``REPRO_BACKEND`` env knob.
-        if backend is None:
-            from repro.harness.dist import BACKEND_ENV
-
-            backend = os.environ.get(BACKEND_ENV, "").strip() or None
-        self.backend = backend
         #: Return :class:`CellFailure` objects in the result dict
         #: instead of raising :class:`SweepCellError` at the end.
         self.capture_errors = capture_errors
-        #: Backend name after the last map() call ("serial", "parallel",
-        #: "queue", "ssh").
+        #: Path taken by the last map() call ("serial" or "parallel").
         self.last_mode: str | None = None
         #: The exception that forced a fallback to serial, if any.
         self.last_fallback: BaseException | None = None
@@ -252,57 +228,17 @@ class SweepRunner:
                 seen.add(key)
             raise ValueError(f"duplicate sweep cell keys: {dupes[:5]}")
         self.last_fallback = None
-        backend = self._explicit_backend()
-        if backend is not None:
-            results = backend.submit(cells, progress=self.progress)
-            self.last_mode = backend.name
-            return self._finish(results)
-        return self._finish(self._map_local(cells))
-
-    # ------------------------------------------------------------------
-    def _explicit_backend(self):
-        """Resolve the explicit backend, if one was requested.
-
-        ``"local"`` and ``"serial"`` resolve to None here and steer the
-        built-in path instead, so they keep its preflight checks and
-        pool fallback behaviour.
-        """
-        spec = self.backend
-        if spec is None:
-            return None
-        if isinstance(spec, str):
-            text = spec.strip().lower()
-            if text == "local":
-                return None
-            if text == "serial":
-                self.jobs = 1
-                return None
-        from repro.harness.dist import resolve_backend
-
-        backend = resolve_backend(spec, jobs=self.jobs,
-                                  initializer=self.initializer,
-                                  initargs=self.initargs)
-        if self.initializer is not None \
-                and getattr(backend, "initializer", True) is None:
-            # A pre-built instance (e.g. the CLI wiring an event sink)
-            # still inherits the runner's cache-warming initializer.
-            backend.initializer = self.initializer
-            backend.initargs = self.initargs
-        return backend
-
-    def _map_local(self, cells) -> dict:
-        """The built-in path: process pool with serial fallbacks."""
-        if self.jobs <= 1 or len(cells) <= 1:
-            return self._map_serial(cells)
-        if not self._picklable(cells):  # spawn-unsafe, go serial
-            return self._map_serial(cells)
-        try:
-            return self._map_parallel(cells)
-        except (OSError, ImportError) as exc:
-            # No pool on this platform (sandboxed /dev/shm, missing
-            # semaphores, fork failure): degrade, don't die.
-            self.last_fallback = exc
-            return self._map_serial(cells)
+        if self.jobs <= 1 or len(cells) <= 1 or not self._picklable(cells):
+            results = self._map_serial(cells)
+        else:
+            try:
+                results = self._map_parallel(cells)
+            except (OSError, ImportError) as exc:
+                # No pool on this platform (sandboxed /dev/shm, missing
+                # semaphores, fork failure): degrade, don't die.
+                self.last_fallback = exc
+                results = self._map_serial(cells)
+        return self._finish(results)
 
     def _finish(self, results: dict) -> dict:
         """Raise on captured failures unless ``capture_errors`` asked
@@ -331,22 +267,68 @@ class SweepRunner:
         return True
 
     def _map_serial(self, cells) -> dict:
-        from repro.harness.dist.local import SerialBackend
-
+        """Run every cell in order, in-process; exceptions become
+        :class:`CellFailure` results."""
         self.last_mode = "serial"
-        backend = SerialBackend(initializer=self.initializer,
-                                initargs=self.initargs)
-        return backend.submit(cells, progress=self.progress)
+        if self.initializer is not None:
+            self.initializer(*self.initargs)
+        results: dict = {}
+        total = len(cells)
+        for done, cell in enumerate(cells, start=1):
+            t0 = time.perf_counter()
+            try:
+                results[cell.key] = cell.fn(**cell.kwargs)
+            except Exception as exc:
+                results[cell.key] = CellFailure.from_exception(exc)
+            if self.progress is not None:
+                self.progress(done, total, cell.key, time.perf_counter() - t0)
+        return results
 
     def _map_parallel(self, cells) -> dict:
-        from repro.harness.dist.local import ProcessPoolBackend
+        """Fan cells over a process pool; results keyed in cell order.
 
-        backend = ProcessPoolBackend(
-            jobs=self.jobs, start_method=self.start_method,
-            initializer=self.initializer, initargs=self.initargs)
-        results = backend.submit(cells, progress=self.progress)
+        Raises ``OSError``/``ImportError`` when the platform cannot
+        spawn a pool at all (:meth:`map` then degrades to serial); a
+        *cell* failure never surfaces that way.
+        """
+        import multiprocessing
+
+        payloads = [(i, cell.fn, dict(cell.kwargs))
+                    for i, cell in enumerate(cells)]
+        context = multiprocessing.get_context(self.start_method)
+        total = len(cells)
+        results: list = [None] * total
+        filled = [False] * total
+        with context.Pool(
+            processes=min(self.jobs, total),
+            initializer=self.initializer,
+            initargs=self.initargs,
+        ) as pool:
+            for done, (index, wall, value) in enumerate(
+                    pool.imap_unordered(_run_cell, payloads), start=1):
+                results[index] = value
+                filled[index] = True
+                if self.progress is not None:
+                    self.progress(done, total, cells[index].key, wall)
+        if not all(filled):  # pragma: no cover - pool never drops tasks
+            raise OSError("process pool dropped sweep cells")
         self.last_mode = "parallel"
-        return results
+        return {cell.key: results[i] for i, cell in enumerate(cells)}
+
+
+def _run_cell(payload):
+    """Pool worker entry: run one cell, tagging the result with its
+    index and wall time (measured in the worker, so the parent's
+    progress report shows real per-cell cost, not queueing delay).
+    A cell exception becomes a :class:`CellFailure` result -- it must
+    not poison the pool's result stream."""
+    index, fn, kwargs = payload
+    t0 = time.perf_counter()
+    try:
+        result = fn(**kwargs)
+    except Exception as exc:
+        result = CellFailure.from_exception(exc)
+    return index, time.perf_counter() - t0, result
 
 
 def run_cells(

@@ -4,9 +4,10 @@ Four subcommands (wired into :mod:`repro.cli`):
 
 - ``validate FILES...`` -- schema-check scenario TOML files.
   Exit 0 all valid / 1 any invalid.
-- ``run FILES...``      -- run scenarios through a sweep backend and
-  check each outcome against its ``[expect]`` table (no table = must
-  pass).  Exit 0 all as expected / 1 mismatches / 2 bad usage.
+- ``run FILES...``      -- run scenarios (serially, or on the process
+  pool with ``--jobs``/``--backend local``) and check each outcome
+  against its ``[expect]`` table (no table = must pass).  Exit 0 all as
+  expected / 1 mismatches / 2 bad usage.
 - ``fuzz``              -- a budgeted coverage-guided fuzzing session;
   ``--defect`` injects the ``violate_atomicity`` Rule-II defect and
   ``--expect-failure`` makes "found, shrunk, fixture replays red" the
@@ -25,6 +26,8 @@ import sys
 
 def add_scenario_parser(sub) -> None:
     """Install the ``scenario`` subcommand on the root subparsers."""
+    from repro.harness.sweep import BACKENDS
+
     p = sub.add_parser(
         "scenario",
         help="declarative scenario DSL: validate/run/fuzz/shrink",
@@ -40,9 +43,9 @@ def add_scenario_parser(sub) -> None:
     r = scenario_sub.add_parser(
         "run", help="run scenarios and check their [expect] tables")
     r.add_argument("files", nargs="+", metavar="FILE")
-    r.add_argument("--backend", default=None, metavar="SPEC",
-                   help="execution backend (serial, queue:N, ...; default "
-                        "serial)")
+    r.add_argument("--backend", default=None, choices=BACKENDS,
+                   help="execution backend (default serial, or local "
+                        "when --jobs is given)")
     r.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for the local pool backend")
     r.add_argument("--json", action="store_true",
@@ -59,9 +62,11 @@ def add_scenario_parser(sub) -> None:
                    help="stop after N scenario runs (default 32 when no "
                         "budget is given)")
     f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--backend", default=None, metavar="SPEC",
-                   help="execution backend for scenario batches")
-    f.add_argument("--jobs", type=int, default=None, metavar="N")
+    f.add_argument("--backend", default=None, choices=BACKENDS,
+                   help="execution backend for scenario batches (default "
+                        "serial, or local when --jobs is given)")
+    f.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="worker processes for the local pool backend")
     f.add_argument("--batch", type=int, default=8, metavar="N",
                    help="scenarios per backend batch (default 8)")
     f.add_argument("--defect", choices=("violate_atomicity",), default=None,

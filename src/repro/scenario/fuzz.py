@@ -3,8 +3,9 @@
 The fuzzer walks the scenario space the DSL spans: each round it
 generates a batch of random scenarios (fresh ones, plus mutations of
 the *corpus* -- scenarios that previously visited behaviour nobody
-else had), runs the batch through any ``harness.dist`` backend, and
-keeps whatever widened coverage.  Coverage is the runner's signal set:
+else had), runs the batch through the sweep runner (serially, or on
+the process pool with ``jobs``), and keeps whatever widened coverage.
+Coverage is the runner's signal set:
 compound-state transitions, span kinds, message kinds, fired fault
 verbs and verdicts (see ``repro.scenario.runner``).
 
@@ -297,16 +298,18 @@ def fuzz(
 
     Stops at ``budget_seconds`` wall time or ``max_scenarios`` runs
     (whichever comes first; at least one batch always runs), or once
-    ``max_findings`` failures have been found and processed.  ``log``
-    is an optional ``log(text)`` progress sink.
+    ``max_findings`` failures have been found and processed.  Batches
+    run serially unless ``jobs`` or ``backend`` asks for the pool.
+    ``log`` is an optional ``log(text)`` progress sink.
     """
     from repro.harness.sweep import SweepCell, SweepRunner
 
     if budget_seconds is None and max_scenarios is None:
         max_scenarios = 32
     rng = random.Random(seed)
-    runner = SweepRunner(jobs=jobs, backend=backend or "serial",
-                         capture_errors=True)
+    if jobs is None and backend is None:
+        backend = "serial"
+    runner = SweepRunner(jobs=jobs, backend=backend, capture_errors=True)
     report = FuzzReport()
     seen: set[str] = set()
     corpus: list[Scenario] = []

@@ -11,9 +11,8 @@ the workload mix, and reduces everything to one canonical, picklable
 Outcome contract (the differential tests depend on it):
 
 - pure JSON types with deterministic construction order, so two runs
-  of the same scenario -- in any process, through any
-  ``harness.dist`` backend -- compare equal (and serialize to
-  identical JSON);
+  of the same scenario -- in any process, serially or on the process
+  pool -- compare equal (and serialize to identical JSON);
 - ``status`` is ``"ok"`` or ``"fail"``; ``failure`` carries
   ``{"kind", "message"}`` with kind in
   :data:`~repro.scenario.schema.FAILURE_KINDS`.  Classification
@@ -162,18 +161,18 @@ def run_scenario_cell(data: dict) -> dict:
     """Sweep-cell entry point: validate a scenario dict and run it.
 
     Module-level and dict-in/dict-out, so it pickles by reference and
-    crosses process/host boundaries under every ``harness.dist``
-    backend.
+    crosses the process pool's boundary.
     """
     scenario = Scenario.from_dict(data)
     return run_scenario(scenario)
 
 
 def run_scenarios(scenarios, backend=None, jobs=None, progress=None) -> dict:
-    """Run many scenarios through a sweep backend; ``{name: outcome}``.
+    """Run many scenarios through the sweep runner; ``{name: outcome}``.
 
-    Scenario names must be unique within one batch (they key the result
-    dict, and the sweep contract keys cells).
+    Serial unless ``jobs`` or ``backend`` asks for the pool.  Scenario
+    names must be unique within one batch (they key the result dict,
+    and the sweep contract keys cells).
     """
     from repro.harness.sweep import SweepCell, SweepRunner
 
@@ -185,8 +184,9 @@ def run_scenarios(scenarios, backend=None, jobs=None, progress=None) -> dict:
         seen.add(scenario.name)
         cells.append(SweepCell(key=scenario.name, fn=run_scenario_cell,
                                kwargs={"data": scenario.to_dict()}))
-    runner = SweepRunner(jobs=jobs, backend=backend or "serial",
-                         progress=progress)
+    if jobs is None and backend is None:
+        backend = "serial"
+    runner = SweepRunner(jobs=jobs, backend=backend, progress=progress)
     return runner.map(cells)
 
 

@@ -14,10 +14,9 @@
   monitors over a live system.
 - :mod:`repro.verify.mc` -- explicit-state model checking over network
   delivery orders (the Murphi substitute): process-stable canonical
-  fingerprints, partition-by-hash sharding over the
-  :mod:`repro.harness.dist` backends, and deduplicated, shrunk,
-  replayable counterexample traces (``python -m repro check``; see
-  ``docs/VERIFY.md``).
+  fingerprints, partition-by-hash sharding over the local process
+  pool, and deduplicated, shrunk, replayable counterexample traces
+  (``python -m repro check``; see ``docs/VERIFY.md``).
 - :mod:`repro.verify.litmus_format` -- a herd7-inspired textual litmus
   format (parse/serialize), so new tests need no Python.
 """

@@ -13,9 +13,9 @@ small systems running the real controllers.  Its modules:
   paths (stateless model checking), or by extending the state it holds
   live when the next path continues it.
 - :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the one
-  search: a partition-by-hash frontier engine over the
-  :mod:`repro.harness.dist` backends; shard *k* of *n* owns the states
-  with ``fingerprint % n == k``.
+  search: a partition-by-hash frontier engine whose waves run serially
+  or on the local process pool; shard *k* of *n* owns the states with
+  ``fingerprint % n == k``.
 - :mod:`~repro.verify.mc.counterexample` -- deduplicated, shrunk,
   JSON-serializable :class:`Counterexample` traces that replay the
   violation byte-identically.

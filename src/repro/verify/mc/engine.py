@@ -1,4 +1,4 @@
-"""Frontier-sharded exhaustive exploration over the sweep backends.
+"""Frontier-sharded exhaustive exploration over the sweep runner.
 
 The repository's one explicit-state search (the Murphi substitute): a
 depth-first drain over network delivery orders with a set of visited
@@ -23,20 +23,19 @@ delivering the remaining choices on that live state instead of
 rebuilding the system and replaying from the root.  ``replays`` counts
 materialised states, ``rebuilds`` the ones that started from scratch.
 
-The search proceeds in waves over the stateless
-:mod:`repro.harness.dist` backends (serial / pool / queue / ssh): each
-wave fans one :class:`~repro.harness.sweep.SweepCell` per shard-with-work
-out through ``Backend.submit`` and the coordinator routes the punted
-frontier to the next wave.  Because a queue fleet costs real start-up
-time, small waves are drained inline in the coordinator
-(:data:`INLINE_WAVE`) -- the backend only sees waves big enough to repay
+The search proceeds in waves over the sweep runner
+(:class:`~repro.harness.sweep.SweepRunner`, ``backend="serial"`` or
+``"local"``): each wave fans one :class:`~repro.harness.sweep.SweepCell`
+per shard-with-work out over the runner and the coordinator routes the
+punted frontier to the next wave.  Because starting a process pool
+costs real time, small waves are drained inline in the coordinator
+(:data:`INLINE_WAVE`) -- the pool only sees waves big enough to repay
 the fan-out.
 
 Worker failures degrade deterministically: a cell that comes back as a
-:class:`~repro.harness.sweep.CellFailure` (after the queue backend's own
-retries) is re-run inline, and every merge below is order-independent,
-so states / outcomes / counterexamples are bit-identical across shard
-counts and backends.
+:class:`~repro.harness.sweep.CellFailure` is re-run inline, and every
+merge below is order-independent, so states / outcomes /
+counterexamples are bit-identical across shard counts and backends.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConsistencyViolation
-from repro.harness.dist import resolve_backend
-from repro.harness.sweep import CellFailure, SweepCell
+from repro.harness.sweep import BACKENDS, CellFailure, SweepCell, SweepRunner
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.verify import invariants
@@ -62,8 +60,8 @@ from repro.verify.mc.fingerprint import canonical_fingerprint
 from repro.verify.mc.model import CheckModel
 
 #: Waves with fewer work items than this are drained inline in the
-#: coordinator: spawning a worker fleet costs ~0.5 s per round, which a
-#: handful of replays never repays.
+#: coordinator: starting a process pool for the wave costs more than a
+#: handful of replays ever repays.
 INLINE_WAVE = 24
 
 
@@ -263,17 +261,20 @@ class ModelChecker:
 
     ``shards=1`` degenerates to a single inline drain (the sharded
     engine's serial mode -- still process-stable fingerprints, still
-    counterexample objects).  ``backend`` takes any
-    :func:`repro.harness.dist.resolve_backend` spelling or instance;
-    ``metrics`` an optional :class:`~repro.obs.metrics.MetricsRegistry`
-    that receives the ``mc.*`` counters.
+    counterexample objects).  ``backend`` is ``"serial"`` (waves run
+    in-process) or ``"local"`` (waves fan out over a process pool with
+    one worker per shard); ``metrics`` an optional
+    :class:`~repro.obs.metrics.MetricsRegistry` that receives the
+    ``mc.*`` counters.
     """
 
     def __init__(self, model: CheckModel, shards: int = 1,
-                 backend="serial", max_states: int = 200_000,
+                 backend: str = "serial", max_states: int = 200_000,
                  max_depth: int = 0, metrics: MetricsRegistry | None = None,
-                 shrink: bool = True, shrink_limit: int = 25,
-                 inline_wave: int = INLINE_WAVE) -> None:
+                 shrink: bool = True, shrink_limit: int = 25) -> None:
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; expected "
+                             f"{' or '.join(BACKENDS)}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if max_states < 0:
@@ -282,13 +283,12 @@ class ModelChecker:
             raise ValueError(f"max_depth must be >= 0, got {max_depth}")
         self.model = model
         self.shards = shards
-        self.backend_spec = backend
+        self.backend = backend
         self.max_states = max_states
         self.max_depth = max_depth
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shrink = shrink
         self.shrink_limit = shrink_limit
-        self.inline_wave = inline_wave
 
     def _count(self, name: str, amount: int = 1) -> None:
         """Bump the ``mc.<name>`` counter."""
@@ -297,13 +297,8 @@ class ModelChecker:
     def run(self, progress=None) -> CheckResult:
         """Explore exhaustively (or to the caps); return the verdict."""
         started = time.monotonic()
-        backend_name = (self.backend_spec if isinstance(self.backend_spec, str)
-                        else getattr(self.backend_spec, "name", "custom"))
         result = CheckResult(model=self.model, shards=self.shards,
-                             backend=backend_name)
-        backend = None
-        if self.shards > 1:
-            backend = resolve_backend(self.backend_spec, jobs=self.shards)
+                             backend=self.backend)
         visited: list[set] = [set() for _ in range(self.shards)]
         raw_violations: list[tuple] = []
         outcome_paths: dict[tuple, tuple] = {}
@@ -316,7 +311,7 @@ class ModelChecker:
             wave, pending = pending, {}
             budget = (max(1, self.max_states - result.states)
                       if self.max_states else 0)
-            outs = self._run_wave(wave, visited, budget, backend, progress)
+            outs = self._run_wave(wave, visited, budget)
             for out in outs:
                 shard = out["shard"]
                 visited[shard].update(out["new_fps"])
@@ -356,11 +351,10 @@ class ModelChecker:
         return result
 
     # ------------------------------------------------------------------
-    def _run_wave(self, wave, visited, budget, backend, progress) -> list:
+    def _run_wave(self, wave, visited, budget) -> list:
         """Execute one wave, inline or fanned out; returns shard outputs."""
         items_total = sum(len(items) for items in wave.values())
-        fan_out = (backend is not None and len(wave) > 1
-                   and items_total >= self.inline_wave)
+        fan_out = len(wave) > 1 and items_total >= INLINE_WAVE
         if not fan_out:
             self._count("inline_waves")
             return [
@@ -379,7 +373,8 @@ class ModelChecker:
             )
             for shard, items in sorted(wave.items())
         ]
-        submitted = backend.submit(cells, progress=None)
+        submitted = SweepRunner(jobs=self.shards, backend=self.backend,
+                                capture_errors=True).map(cells)
         outs = []
         for cell in cells:
             value = submitted.get(cell.key)

@@ -237,6 +237,27 @@ def test_sharded_search_is_equivalent_to_serial(corr1_serial):
     assert sharded.rounds > 1  # the frontier really crossed shards
 
 
+def test_sharded_search_on_the_pool_matches_one_shard():
+    """SB on MESI-CXL-MESI: four shards on the process pool find the
+    same states, outcomes and counterexample signatures as one shard,
+    and the search really reaches the pool."""
+    from repro.obs.metrics import MetricsRegistry
+
+    model = litmus_model("SB", COMBO)
+    single = check_model(model, max_states=0)
+    registry = MetricsRegistry()
+    pooled = check_model(model, shards=4, backend="local", max_states=0,
+                         metrics=registry)
+    waves = registry.counter_values("mc.")
+    assert waves["mc.waves"] > waves["mc.inline_waves"]
+    assert pooled.ok and single.ok
+    assert (pooled.states, pooled.terminals) \
+        == (single.states, single.terminals)
+    assert pooled.to_dict()["outcomes"] == single.to_dict()["outcomes"]
+    assert [ce.signature for ce in pooled.counterexamples] \
+        == [ce.signature for ce in single.counterexamples]
+
+
 def test_same_configuration_is_deterministic(corr1_serial):
     again = check_litmus("CoRR1", COMBO, max_states=0)
     assert again.states == corr1_serial.states

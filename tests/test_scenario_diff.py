@@ -3,8 +3,8 @@
 Extends the ``test_engine_parity`` discipline to the scenario layer,
 including *faulted* runs: the same scenario corpus must produce
 byte-identical outcome dicts whether executed serially, through the
-local process pool, through a ``queue:2`` distributed fleet, or on the
-compiled event engine (exercised only where the C core builds).
+local process pool, or on the compiled event engine (exercised only
+where the C core builds).
 """
 
 import glob
@@ -43,13 +43,12 @@ def _canon(outcomes: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend parity: serial vs pool vs distributed queue.
+# Backend parity: serial vs pool.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend,jobs", [
     ("local", 2),
-    ("queue:2", None),
-], ids=["pool", "queue2"])
+], ids=["pool"])
 def test_backends_match_serial_bit_for_bit(backend, jobs):
     scenarios = _scenarios()
     reference = _canon(run_scenarios(scenarios, backend="serial"))

@@ -218,6 +218,62 @@ def test_fuzz_respects_max_scenarios():
 
 
 # ---------------------------------------------------------------------------
+# Execution path: serial by default, the pool when jobs asks for it.
+# ---------------------------------------------------------------------------
+
+def _record_sweep_modes(monkeypatch) -> list:
+    """Record ``SweepRunner.last_mode`` after every ``map()`` call."""
+    from repro.harness.sweep import SweepRunner
+
+    modes = []
+    real_map = SweepRunner.map
+
+    def recording_map(self, cells):
+        try:
+            return real_map(self, cells)
+        finally:
+            modes.append(self.last_mode)
+
+    monkeypatch.setattr(SweepRunner, "map", recording_map)
+    return modes
+
+
+def _two_quick_scenarios():
+    return [Scenario.from_dict(_quick_doc(name=f"quick{i}"))
+            for i in range(2)]
+
+
+def test_scenario_batches_default_to_serial(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    modes = _record_sweep_modes(monkeypatch)
+    run_scenarios(_two_quick_scenarios())
+    fuzz(max_scenarios=2, seed=2, shrink=False, batch_size=2)
+    assert modes and set(modes) == {"serial"}
+
+
+def test_scenario_jobs_reaches_the_pool(monkeypatch, tmp_path, capsys):
+    """``jobs > 1`` reaches the pool from the scenario runner, the fuzzer
+    and both CLI subcommands."""
+    modes = _record_sweep_modes(monkeypatch)
+    scenarios = _two_quick_scenarios()
+    assert run_scenarios(scenarios, jobs=2) \
+        == run_scenarios(scenarios, backend="serial")
+    assert modes == ["parallel", "serial"]
+    modes.clear()
+    fuzz(max_scenarios=2, seed=2, shrink=False, batch_size=2, jobs=2)
+    paths = []
+    for scenario in scenarios:
+        path = tmp_path / f"{scenario.name}.toml"
+        scenario.dump(path)
+        paths.append(str(path))
+    assert main(["scenario", "run", *paths, "--jobs", "2"]) == 0
+    assert main(["scenario", "fuzz", "--max-scenarios", "2", "--batch", "2",
+                 "--no-shrink", "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert modes and set(modes) == {"parallel"}
+
+
+# ---------------------------------------------------------------------------
 # CLI exit codes.
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import pytest
 
 import repro.core.generator as generator
+from repro.cli import main
 from repro.harness.experiments import FIG10_COMBOS, figure10
 from repro.harness.sweep import (
     CellOutput,
@@ -13,6 +14,7 @@ from repro.harness.sweep import (
     split_metrics,
 )
 from repro.protocols.variants import global_variant, local_variant
+from repro.verify.mc import check_model, litmus_model
 
 
 def _square(x):
@@ -54,6 +56,22 @@ def test_single_cell_skips_the_pool():
     assert runner.map([SweepCell(key="only", fn=_square, kwargs={"x": 3})]) \
         == {"only": 9}
     assert runner.last_mode == "serial"
+
+
+@pytest.mark.parametrize("spec", ["queue:2", "ssh:x.toml", "queue", "Serial"])
+def test_unknown_backends_are_rejected(spec):
+    """Only serial and local survive, at the API and on the CLI."""
+    with pytest.raises(ValueError, match="serial or local"):
+        SweepRunner(backend=spec)
+    with pytest.raises(ValueError, match="serial or local"):
+        check_model(litmus_model("MP", ("MESI", "CXL", "MESI")),
+                    backend=spec)
+    for argv in (["fig10", "--backend", spec],
+                 ["check", "--backend", spec],
+                 ["scenario", "run", "x.toml", "--backend", spec]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_duplicate_keys_rejected():
