@@ -84,6 +84,7 @@ def test_sharded_exploration_throughput(benchmark, save_result, tmp_path,
         "replays_sharded": sharded.replays,
         "replays_serial": serial.replays,
         "rebuilds_serial": serial.rebuilds,
+        "restores_serial": serial.restores,
     }
     history = []
     if BENCH_JSON.exists():

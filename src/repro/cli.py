@@ -430,9 +430,10 @@ def _cmd_check(args) -> int:
           f"({'/'.join(args.mcms)}): {mark}")
     print(f"  states    : {result.states} ({result.terminals} terminal, "
           f"depth {result.max_depth}, {result.replays} replays)")
+    extended = result.replays - result.rebuilds - result.restores
     print(f"  rebuilds  : {result.rebuilds} of {result.replays} replays "
-          f"rebuilt from the root, {result.replays - result.rebuilds} "
-          "extended the live state")
+          f"rebuilt from the root, {result.restores} restored a parent "
+          f"snapshot, {extended} extended the live state")
     print(f"  search    : {result.shards} shard(s), {result.rounds} "
           f"round(s), backend {result.backend} ({fanned_out} of "
           f"{result.rounds} waves fanned out), {result.elapsed:.2f}s")

@@ -387,7 +387,10 @@ class C3Bridge(Node):
             requester in rec.sharers or rec.owner == requester
         )
         out = []
-        for sharer in rec.sharers:
+        # Sharers in sorted order: a set's iteration order depends on
+        # its add/discard history and on PYTHONHASHSEED, and the send
+        # order is the order of the model checker's delivery choices.
+        for sharer in sorted(rec.sharers):
             if sharer != requester:
                 out.append(m.Message(m.INV, line.addr, self.node_id, sharer))
                 txn.acks_needed += 1
@@ -583,7 +586,7 @@ class C3Bridge(Node):
         recall = Recall(mode=mode, on_done=on_done)
         if mode == "inv":
             out = []
-            for sharer in rec.sharers:
+            for sharer in sorted(rec.sharers):  # see _local_getm
                 out.append(m.Message(m.INV, addr, self.node_id, sharer))
                 recall.acks_needed += 1
             if rec.owner is not None:

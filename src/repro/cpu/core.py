@@ -76,8 +76,10 @@ class Core:
     # ------------------------------------------------------------------
     # Program control.
     # ------------------------------------------------------------------
-    def run_program(self, thread: ThreadProgram, on_done: Callable[[int], None]) -> None:
-        """Start executing ``thread``; ``on_done(finish_time)`` fires at completion."""
+    def run_program(self, thread: ThreadProgram,
+                    on_done: Callable[[int], None] | None) -> None:
+        """Start executing ``thread``; ``on_done(finish_time)``, when
+        given, fires at completion."""
         thread.validate()
         self.ops = thread.ops
         self.status = [PEND] * len(self.ops)

@@ -142,8 +142,10 @@ class Dcoh(Node):
             self._grant(addr)
             return
         snoop = m.BI_SNP_INV if txn.kind == "RdA" else m.BI_SNP_DATA
-        self.send_many(
-            [m.Message(snoop, addr, self.node_id, host) for host in targets])
+        # Sorted: a set's iteration order depends on its history and on
+        # PYTHONHASHSEED; the send order must not.
+        self.send_many([m.Message(snoop, addr, self.node_id, host)
+                        for host in sorted(targets)])
         self.snoops_sent += len(targets)
 
     def _on_snoop_rsp(self, msg: m.Message) -> None:

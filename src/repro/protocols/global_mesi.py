@@ -133,7 +133,7 @@ class GlobalMesiDir(Node):
             self.send_many([
                 m.Message(m.INV, addr, self.node_id, sharer,
                           extra={"req": requester})
-                for sharer in targets])
+                for sharer in sorted(targets)])  # history-free order
             self.invs_sent += len(targets)
         line.owner = requester
         line.sharers = set()

@@ -10,8 +10,11 @@ small systems running the real controllers.  Its modules:
 - :mod:`~repro.verify.mc.model` -- :class:`CheckModel`, the picklable
   description from which any worker builds the system behind an
   intercepting network and reconstructs states by replaying delivery
-  paths (stateless model checking), or by extending the state it holds
-  live when the next path continues it.
+  paths (stateless model checking), by extending the state it holds
+  live when the next path continues it, or from a snapshot.
+- :mod:`~repro.verify.mc.snapshot` -- :class:`Snapshot`, an in-place
+  snapshot of one state: what a state consists of, saved as field
+  values and written back into the same objects.
 - :mod:`~repro.verify.mc.engine` -- :class:`ModelChecker`, the one
   search: a partition-by-hash frontier engine whose waves run serially
   or on the local process pool; shard *k* of *n* owns the states with

@@ -191,7 +191,7 @@ def _state_signature(model: CheckModel, system, network) -> tuple | None:
         invariants.check_all(system)
     except ConsistencyViolation:
         return (KIND_INVARIANT, canonical_fingerprint(system, network))
-    if not network.deliverable() and model.stuck_threads() != 0:
+    if not network.deliverable() and model.stuck_threads(system) != 0:
         return (KIND_DEADLOCK, canonical_fingerprint(system, network))
     return None
 

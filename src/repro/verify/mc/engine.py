@@ -17,11 +17,22 @@ pair is handed to the owner, which can reject already-visited states
 without replaying them.
 
 Within one shard the depth-first drain keeps the state it materialised
-last *live*.  A popped path that extends the live state's path -- the
-first child of the state just expanded, typically -- is reached by
-delivering the remaining choices on that live state instead of
-rebuilding the system and replaying from the root.  ``replays`` counts
-materialised states, ``rebuilds`` the ones that started from scratch.
+last *live*, and takes an in-place
+:class:`~repro.verify.mc.snapshot.Snapshot` of every state it expands
+into more than one child.  A popped child is reached in one of three
+ways:
+
+- its path extends the live state's path (the first child of the state
+  just expanded): the remaining choices are delivered on the live
+  state;
+- otherwise its parent's snapshot is restored in place and the one
+  remaining choice is delivered;
+- only a path with no snapshot -- the root, or work punted from another
+  shard -- is rebuilt from scratch and replayed from the root.
+
+``replays`` counts materialised states, ``rebuilds`` the ones that
+started from scratch and ``restores`` the ones that rolled a snapshot
+back; the rest extended the live state.
 
 The search proceeds in waves over the sweep runner
 (:class:`~repro.harness.sweep.SweepRunner`, ``backend="serial"`` or
@@ -58,6 +69,7 @@ from repro.verify.mc.counterexample import (
 )
 from repro.verify.mc.fingerprint import canonical_fingerprint
 from repro.verify.mc.model import CheckModel
+from repro.verify.mc.snapshot import Snapshot
 
 #: Waves with fewer work items than this are drained inline in the
 #: coordinator: starting a process pool for the wave costs more than a
@@ -88,17 +100,19 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     outcome), ``violations`` (``[(path, kind, message, fp, flight)]``
     where ``flight`` is the shard's flight-recorder dump for crashes
     and ``()`` otherwise), ``max_depth``, ``replays`` (states
-    materialised), ``rebuilds`` (of those, built from the root rather
-    than extended from the live state) and ``truncated``.
+    materialised), ``rebuilds`` (of those, built from the root),
+    ``restores`` (reached from the parent's snapshot) and
+    ``truncated``.  No snapshot or system outlives the call.
     """
     seen = set(visited)
-    # Reversed so list.pop() explores the first work item's subtree first.
-    stack = [(tuple(path), fp) for path, fp in reversed(list(work))]
+    # Items are (path, fingerprint-or-None, parent snapshot-or-None);
+    # reversed so list.pop() explores the first work item's subtree first.
+    stack = [(tuple(path), fp, None) for path, fp in reversed(list(work))]
     new_fps: list[int] = []
     emit: dict[int, list] = {}
     outcomes: dict[tuple, tuple] = {}
     violations: list[tuple] = []
-    states = terminals = replays = rebuilds = deepest = 0
+    states = terminals = replays = rebuilds = restores = deepest = 0
     truncated = False
     # The last materialised (path, system, network), or None.
     live: tuple | None = None
@@ -106,17 +120,20 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
     # search was doing just before it, for the postmortem.
     flight = FlightRecorder(64)
     while stack:
-        path, fp = stack.pop()
+        path, fp, parent = stack.pop()
         if fp is not None and fp in seen:
             continue
         flight.record("replay", depth=len(path), states=states)
-        # Extend the live state when this path continues it; either
-        # way the live state is consumed, and re-set only on success.
+        # Extend the live state when this path continues it, else roll
+        # the parent's snapshot back; either way the live state is
+        # consumed, and re-set only on success.
         base, live = live, None
-        if base is not None and path[:len(base[0])] != base[0]:
-            base = None
-        if base is None:
-            rebuilds += 1
+        if base is None or path[:len(base[0])] != base[0]:
+            base = parent
+            if parent is None:
+                rebuilds += 1
+            else:
+                restores += 1
         try:
             # A rebuild is a plain ``replay(path)`` call, so a model
             # that never reaches a state (a test double) needs no base.
@@ -160,7 +177,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
             continue
         choices = network.deliverable()
         if not choices:
-            stuck = model.stuck_threads()
+            stuck = model.stuck_threads(system)
             if stuck:
                 violations.append(
                     (path, KIND_DEADLOCK,
@@ -178,8 +195,11 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         if max_depth and len(path) >= max_depth:
             truncated = True
             continue
+        # The first child extends the live state; its siblings restore
+        # this snapshot.
+        snap = Snapshot(path, system, network) if len(choices) > 1 else None
         for choice in reversed(choices):
-            stack.append((path + (choice,), None))
+            stack.append((path + (choice,), None, snap))
     return {
         "shard": shard,
         "new_fps": new_fps,
@@ -191,6 +211,7 @@ def explore_shard(model: CheckModel, shard: int, n_shards: int, work,
         "max_depth": deepest,
         "replays": replays,
         "rebuilds": rebuilds,
+        "restores": restores,
         "truncated": truncated,
     }
 
@@ -214,6 +235,9 @@ class CheckResult:
     replays: int = 0
     #: Materialisations that rebuilt the system from the root.
     rebuilds: int = 0
+    #: Materialisations that restored the parent's snapshot; the other
+    #: ``replays - rebuilds - restores`` extended the live state.
+    restores: int = 0
     elapsed: float = 0.0
     counterexamples: list = field(default_factory=list)
 
@@ -232,6 +256,7 @@ class CheckResult:
                 f"({self.states} states, {self.terminals} terminals, "
                 f"{len(self.outcomes)} outcomes, depth {self.max_depth}, "
                 f"{self.replays} replays, {self.rebuilds} rebuilds, "
+                f"{self.restores} restores, "
                 f"{self.rounds} rounds, {self.shards} shard(s), "
                 f"{self.elapsed:.2f}s)")
 
@@ -251,6 +276,7 @@ class CheckResult:
             "rounds": self.rounds,
             "replays": self.replays,
             "rebuilds": self.rebuilds,
+            "restores": self.restores,
             "elapsed": self.elapsed,
             "counterexamples": [ce.to_dict() for ce in self.counterexamples],
         }
@@ -320,6 +346,7 @@ class ModelChecker:
                 result.max_depth = max(result.max_depth, out["max_depth"])
                 result.replays += out["replays"]
                 result.rebuilds += out["rebuilds"]
+                result.restores += out["restores"]
                 result.truncated = result.truncated or out["truncated"]
                 raw_violations.extend(out["violations"])
                 for outcome, path in out["outcomes"]:
@@ -345,6 +372,7 @@ class ModelChecker:
         self._count("states", result.states)
         self._count("replays", result.replays)
         self._count("rebuilds", result.rebuilds)
+        self._count("restores", result.restores)
         self._count("terminals", result.terminals)
         result.counterexamples = self._build_counterexamples(raw_violations)
         self._count("violations", len(result.counterexamples))

@@ -6,20 +6,24 @@ programs, the MCMs and the observed addresses.  States are closures
 inside controller objects and cannot cross a process boundary; the
 *model* can, so sharded exploration ships models plus delivery paths
 and every worker reconstructs states by replay -- stateless model
-checking, distributed.  Within one worker the search keeps the state
-it last materialised live and extends it in place when the next path
-continues it (:meth:`CheckModel.replay`'s ``base``).
+checking, distributed.
 
 The system runs the *actual implementation*, not a re-model of the
 protocol: its network is swapped for an :class:`InterceptNetwork`, so
 every sent message lands in an outbox and waits for the search to
 choose the next delivery (per-channel FIFO, exactly like the real
 fabric).  Because controller continuations are closures, a state
-cannot be snapshotted cheaply -- a ``copy.deepcopy`` fork of a
-mid-depth state costs several times a full replay -- so states are
-reproduced by replaying their delivery-choice path.  Programs are
-shared, not copied, across rebuilds: a core only reads its thread's
-``Op`` list, so every rebuilt system runs the same objects.
+cannot be *copied* cheaply -- a ``copy.deepcopy`` fork of a mid-depth
+state costs several times a full replay -- but it can be *rolled back*:
+a :class:`~repro.verify.mc.snapshot.Snapshot` writes saved field values
+back into the same objects, so the closures stay valid.  Within one
+worker a state is therefore reached by extending the live state, by
+restoring its parent's snapshot and delivering one choice, or -- for
+the root, for work punted from another shard and for counterexample
+replay -- by rebuilding the system and replaying the whole path.
+Programs are shared, not copied, across rebuilds: a core only reads
+its thread's ``Op`` list, so every rebuilt system runs the same
+objects.
 
 ``violate_atomicity`` switches off the bridge's Rule-II enforcement --
 the paper's Fig. 4 failure injection -- so tests can demand that the
@@ -36,6 +40,7 @@ from repro.sim.config import ClusterConfig, SystemConfig
 from repro.sim.network import Network
 from repro.sim.system import build_system
 from repro.verify import invariants
+from repro.verify.mc.snapshot import Snapshot
 
 
 class InterceptNetwork(Network):
@@ -102,19 +107,25 @@ class CheckModel:
         """Materialise the state at the end of ``path``.
 
         Without ``base`` the system is rebuilt from scratch and the
-        whole path is delivered.  ``base`` is a live ``(base_path,
-        system, network)`` state whose ``base_path`` is a prefix of
-        ``path``: only the remaining choices are delivered, on that
-        live state, which is consumed.  Delivery is deterministic, so
-        both give the same state.  ``setup(system, network)`` runs on a
-        rebuilt system before any program starts, so it sees every
-        message the system sends.
+        whole path is delivered.  ``base`` is either a live ``(base_path,
+        system, network)`` state or a
+        :class:`~repro.verify.mc.snapshot.Snapshot`, and its path is a
+        prefix of ``path``: a snapshot is first restored in place, then
+        only the remaining choices are delivered on that graph, which is
+        consumed.  Delivery is deterministic, so all three give the same
+        state.  ``setup(system, network)`` runs on a rebuilt system
+        before any program starts, so it sees every message the system
+        sends.
 
         Returns ``(system, network)``; the intercepted network's outbox
         holds the deliverable messages of the state.
         """
         if base is not None:
-            base_path, system, network = base
+            if isinstance(base, Snapshot):
+                system, network = base.restore()
+                base_path = base.path
+            else:
+                base_path, system, network = base
             return deliver_path(system, network, path[len(base_path):])
         config = self.system_config()
         system = build_system(config, violate_atomicity=self.violate_atomicity)
@@ -128,23 +139,21 @@ class CheckModel:
         system.network = network
         if setup is not None:
             setup(system, network)
-
-        cores = config.clusters[0].cores
-        remaining = self._remaining = [len(self.programs)]
-
-        def on_done(_thread):
-            remaining[0] -= 1
-
-        for tid, program in enumerate(self.programs):
-            system.cores[(tid % 2) * cores + tid // 2].run_program(
-                program, on_done)
+        for core, program in zip(self.thread_cores(system), self.programs):
+            core.run_program(program, None)
         system.engine.run()
         return deliver_path(system, network, path)
 
-    def stuck_threads(self) -> int:
-        """Threads not yet complete in the most recently rebuilt system,
-        as it stands now (extending it in place advances it)."""
-        return self._remaining[0]
+    def thread_cores(self, system) -> list:
+        """The core running each thread, in thread order."""
+        cores = system.config.clusters[0].cores
+        return [system.cores[(tid % 2) * cores + tid // 2]
+                for tid in range(len(self.programs))]
+
+    def stuck_threads(self, system) -> int:
+        """Threads of ``system`` whose program has not finished."""
+        return sum(core.finish_time is None
+                   for core in self.thread_cores(system))
 
     def outcome(self, system) -> tuple:
         """Terminal outcome tuple (registers + observed memory)."""

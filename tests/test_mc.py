@@ -40,6 +40,7 @@ from repro.verify.mc.fingerprint import (
     state_parts,
 )
 from repro.verify.mc.model import replay_traced
+from repro.verify.mc.snapshot import Snapshot
 
 X, Y = 0x10, 0x11
 COMBO = ("MESI", "CXL", "MESI")
@@ -224,6 +225,34 @@ def test_fingerprints_stable_across_hash_seeds():
     assert len(set(values)) == 1, values
 
 
+class _InvProbe(CheckModel):
+    """Records the Inv messages of every state the search reaches."""
+
+    def replay(self, path, base=None, setup=None):
+        system, network = super().replay(path, base, setup)
+        self.invs.add(tuple((msg.src, msg.addr, msg.dst)
+                            for msg in network.outbox if msg.kind == "Inv"))
+        return system, network
+
+
+def test_invalidations_reach_sharers_in_sorted_order():
+    """A bridge invalidating several sharers sends to them in sorted
+    order, so a state's delivery choices depend neither on the sharer
+    set's add/discard history (a restored snapshot's differs from a
+    rebuild's) nor on PYTHONHASHSEED."""
+    idle = ThreadProgram("idle", [])
+    model = _InvProbe(combo=COMBO, programs=(
+        ThreadProgram("r0", [load(X, "r0")]), idle,
+        ThreadProgram("r1", [load(X, "r1")]), idle,
+        ThreadProgram("w", [store(X, 1)]), idle,
+    ))
+    model.invs = set()
+    assert check_model(model, max_states=0).ok
+    fanned = [invs for invs in model.invs if len(invs) > 1]
+    assert fanned  # some state invalidates both readers at once
+    assert all(list(invs) == sorted(invs) for invs in fanned)
+
+
 # ---------------------------------------------------------------------------
 # Engine equivalence: mc serial == mc sharded.
 # ---------------------------------------------------------------------------
@@ -382,11 +411,12 @@ def test_dedup_keeps_shortest_path_per_signature():
 
 
 def test_stuck_threads_tracks_replay_progress():
-    """stuck_threads() reflects the most recent replay: positive while
-    a thread still waits on undelivered messages, zero at a terminal."""
+    """stuck_threads(system) reads the system it is given: positive
+    while a thread still waits on undelivered messages, zero at a
+    terminal, whatever other system was replayed since."""
     model = litmus_model("MP", COMBO)
-    _system, network = model.replay(())
-    assert model.stuck_threads() > 0  # nothing delivered yet
+    root, network = model.replay(())
+    assert model.stuck_threads(root) == 2  # nothing delivered yet
     # Drain greedily to completion: always deliver the oldest choice.
     path = ()
     for _ in range(200):
@@ -395,7 +425,8 @@ def test_stuck_threads_tracks_replay_progress():
         if not choices:
             break
         path = path + (choices[0],)
-    assert model.stuck_threads() == 0  # the drained system terminated
+    assert model.stuck_threads(system) == 0  # the drained system terminated
+    assert model.stuck_threads(root) == 2  # an older graph is unaffected
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +594,14 @@ def test_cli_check_writes_counterexample_fixtures(tmp_path, capsys,
 
 
 # ---------------------------------------------------------------------------
-# Live-state extension: a state reached by delivering on the live state
-# equals the same path replayed from the root.
+# Live-state extension and snapshot restores: a state reached by
+# delivering on the live state, or on a restored snapshot, equals the
+# same path replayed from the root.
 # ---------------------------------------------------------------------------
 
 #: ``(states, terminals, replays, digest)`` of exhaustive checks on the
 #: serial backend, as the search produced them when it rebuilt every
-#: state from the root.  The digest covers the outcomes, the outcome
+#: state from the root (restores and extensions must not move them).  The digest covers the outcomes, the outcome
 #: witness paths and every counterexample's kind, fingerprint and path
 #: (see :func:`_result_digest`).  The violate_atomicity MP check is
 #: capped at 3,000 states, the others run to exhaustion.
@@ -608,21 +640,24 @@ def _result_digest(result) -> str:
 
 
 class _ExtensionOracle(CheckModel):
-    """Checks every extended state against a from-scratch replay on a
-    twin model (its own thread counter, so the live state's counter is
-    left alone)."""
+    """Checks every state reached from a base -- the live state or a
+    restored snapshot -- against a from-scratch replay of its path."""
 
-    twin: CheckModel
-    extended = 0
+    extended = restored = 0
     mismatches: list
 
     def replay(self, path, base=None, setup=None):
         if base is None:
             return super().replay(path, base, setup)
-        self.extended += 1
+        if isinstance(base, Snapshot):
+            self.restored += 1
+        else:
+            self.extended += 1
         signature, live = _materialise(
             lambda: super(_ExtensionOracle, self).replay(path, base, setup))
-        if signature != _materialise(lambda: self.twin.replay(path))[0]:
+        rebuilt = _materialise(
+            lambda: super(_ExtensionOracle, self).replay(path))[0]
+        if signature != rebuilt:
             self.mismatches.append(path)
         if isinstance(live, Exception):
             raise live
@@ -645,7 +680,6 @@ def _oracle_model(name, combo, broken):
               for f in dataclasses.fields(CheckModel) if f.init}
     fields.update(violate_atomicity=broken)
     model = _ExtensionOracle(**fields)
-    model.twin = CheckModel(**fields)
     model.mismatches = []
     return model
 
@@ -654,18 +688,21 @@ def _oracle_model(name, combo, broken):
     "key", list(PINNED_CHECKS),
     ids=lambda k: f"{k[0]}-{k[1]}-{'broken' if k[2] else 'ok'}-{k[3]}")
 def test_extended_states_equal_rebuilt_states(key):
-    """Every state the search reaches by extending the live state has
-    the fingerprint of the same path replayed from the root, and the
-    search reports what rebuilding every state reported."""
+    """Every state the search reaches by extending the live state or by
+    restoring its parent's snapshot has the fingerprint of the same path
+    replayed from the root, and the search reports what rebuilding
+    every state reported.  One shard rebuilds only the root."""
     name, combo, broken, shards = key
     model = _oracle_model(name, combo, broken)
     programs = copy.deepcopy(model.programs)
     result = check_model(model, shards=shards, backend="serial",
                          max_states=3_000 if broken else 0)
     assert model.mismatches == []
-    assert model.extended == result.replays - result.rebuilds
+    assert model.restored == result.restores > 0
+    assert model.extended == (result.replays - result.rebuilds
+                              - result.restores)
     if shards == 1:
-        assert result.rebuilds < result.replays
+        assert result.rebuilds == 1
     states, terminals, replays, digest = PINNED_CHECKS[key]
     assert (result.states, result.terminals, result.replays) == (
         states, terminals, replays)
@@ -682,11 +719,15 @@ def test_check_reports_rebuilds():
 
     registry = MetricsRegistry()
     result = check_litmus("CoRR1", COMBO, max_states=0, metrics=registry)
-    assert 0 < result.rebuilds < result.replays
+    assert result.rebuilds == 1  # the root; every sibling is a restore
+    assert 0 < result.restores < result.replays
     assert result.to_dict()["rebuilds"] == result.rebuilds
+    assert result.to_dict()["restores"] == result.restores
     assert f"{result.rebuilds} rebuilds" in result.summary()
+    assert f"{result.restores} restores" in result.summary()
     counters = registry.counter_values("mc.")
     assert counters["mc.rebuilds"] == result.rebuilds
+    assert counters["mc.restores"] == result.restores
     assert counters["mc.replays"] == result.replays
 
 
